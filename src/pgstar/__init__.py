@@ -14,7 +14,6 @@ from .graphs import (
     CameronWalkerSpec,
     EnumerationLimitError,
     Graph,
-    build_graph,
     cameron_walker,
     complete_multipartite,
     cycle_graph,
@@ -24,7 +23,6 @@ from .graphs import (
 )
 from .indpoly import (
     MinusOneProfile,
-    independence_number,
     independence_polynomial,
     independence_polynomial_bruteforce,
     minus_one_profile,
@@ -43,14 +41,12 @@ __all__ = [
     "ParseError",
     "a_invariant",
     "analyze",
-    "build_graph",
     "cameron_walker",
     "complete_multipartite",
     "cycle_graph",
     "disjoint_union",
     "h_polynomial",
     "h_polynomial_by_expansion",
-    "independence_number",
     "independence_polynomial",
     "independence_polynomial_bruteforce",
     "minus_one_profile",

@@ -6,13 +6,14 @@ named family member and compare against its closed form), ``suspend``
 applies) and ``verify`` (run a named verification sweep).
 
 Exit codes: 0 success / sweep passed, 1 sweep mismatch, 2 usage or parse
-error, 3 enumeration cap exceeded.  JSON output renders potentially
-large integers as decimal strings.
+error, 3 enumeration cap exceeded, 4 internal error.  JSON output renders
+potentially large integers as decimal strings.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from . import families, verification
 from .analysis import AnalysisReport, analyze
 from .graphs import (
-    MIS_ENUMERATION_LIMIT,
     CameronWalkerSpec,
     EnumerationLimitError,
     Graph,
@@ -37,6 +37,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
+EXIT_INTERNAL = 4
 
 JOBS_ENV_VAR = "PGSTAR_JOBS"
 
@@ -47,20 +48,18 @@ class RunConfig:
 
     output: str = "text"
     jobs: int = 1
-    enum_cap: int = MIS_ENUMERATION_LIMIT
-    seed: int = verification.DEFAULT_SEED
 
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError("parallelism degree must be >= 1")
-        if self.enum_cap < 1:
-            raise ValueError("enumeration cap must be >= 1")
 
 
 def _default_jobs() -> int:
+    raw = os.environ.get(JOBS_ENV_VAR, "1")
     try:
-        return max(1, int(os.environ.get(JOBS_ENV_VAR, "1")))
+        return max(1, int(raw))
     except ValueError:
+        print(f"warning: {JOBS_ENV_VAR}={raw!r} is not an integer; using 1", file=sys.stderr)
         return 1
 
 
@@ -342,47 +341,17 @@ def cmd_suspend(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _or_default(value, default):
-    return default if value is None else value
-
-
 def _run_sweep(args, config: RunConfig) -> verification.VerifyOutcome:
-    jobs = config.jobs
-    t = args.theorem
-    if t == "cycles":
-        return verification.verify_cycles(_or_default(args.max_n, 40), jobs)
-    if t == "paths":
-        return verification.verify_paths(_or_default(args.max_n, 40), jobs)
-    if t == "sequences":
-        return verification.verify_sequences(_or_default(args.max_n, 60), jobs)
-    if t == "multipartite":
-        return verification.verify_multipartite(args.max_parts, args.max_part_size, jobs)
-    if t == "cameron-walker":
-        return verification.verify_cameron_walker(
-            _or_default(args.count, 50), args.max_vertices, config.seed, jobs
-        )
-    if t == "vc-suspension":
-        return verification.verify_vc_suspension(
-            _or_default(args.count, 100), _or_default(args.max_n, 8), config.seed, jobs
-        )
-    if t == "full-suspension":
-        return verification.verify_full_suspension(_or_default(args.max_n, 36), jobs)
-    if t == "cycle-mis-suspension":
-        return verification.verify_cycle_mis_suspension(
-            _or_default(args.max_n, 18), jobs, config.enum_cap
-        )
-    if t == "path-mis-suspension":
-        return verification.verify_path_mis_suspension(
-            _or_default(args.max_n, 18), jobs, config.enum_cap
-        )
-    # deg-via-ord
-    return verification.verify_deg_via_ord(
-        _or_default(args.random, 500),
-        _or_default(args.max_n, 10),
-        config.seed,
-        args.exhaustive_n,
-        jobs,
-    )
+    sweep = verification.SWEEPS[args.theorem]
+    accepted = inspect.signature(sweep).parameters
+    # an option the user did not set is absent from args (SUPPRESS)
+    options = {dest: getattr(args, dest) for dest in args.sweep_flags if hasattr(args, dest)}
+    foreign = [args.sweep_flags[dest] for dest in options if dest not in accepted]
+    if foreign:
+        raise ValueError(f"verify {args.theorem} does not take {', '.join(foreign)}")
+    if options.get("mis_limit", 1) < 1:
+        raise ValueError("enumeration cap must be >= 1")
+    return sweep(**options, jobs=config.jobs)
 
 
 def cmd_verify(args, config: RunConfig) -> int:
@@ -412,8 +381,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         default=None,
         help=f"worker processes (default: ${JOBS_ENV_VAR} or 1)",
     )
-    p.add_argument("--enum-cap", type=int, default=MIS_ENUMERATION_LIMIT)
-    p.add_argument("--seed", type=int, default=verification.DEFAULT_SEED)
 
 
 def _add_family_options(p: argparse.ArgumentParser) -> None:
@@ -463,31 +430,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=cmd_suspend)
 
-    p = sub.add_parser("verify", help="run a named verification sweep")
-    p.add_argument(
-        "theorem",
-        choices=(
-            "cycles",
-            "paths",
-            "sequences",
-            "multipartite",
-            "cameron-walker",
-            "vc-suspension",
-            "full-suspension",
-            "cycle-mis-suspension",
-            "path-mis-suspension",
-            "deg-via-ord",
-        ),
+    p = sub.add_parser(
+        "verify", help="run a named verification sweep", argument_default=argparse.SUPPRESS
     )
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--random", type=int, default=None, help="random corpus size")
-    p.add_argument("--count", type=int, default=None, help="random instance count")
-    p.add_argument("--max-parts", type=int, default=4)
-    p.add_argument("--max-part-size", type=int, default=5)
-    p.add_argument("--max-vertices", type=int, default=16)
-    p.add_argument("--exhaustive-n", type=int, default=6)
+    p.add_argument("theorem", choices=verification.SWEEPS)
+    # each sweep option's dest is the verify_* parameter it is forwarded to
+    sweep_options = [
+        p.add_argument("--max-n", type=int),
+        p.add_argument(
+            "--random", dest="random_count", metavar="RANDOM", type=int, help="random corpus size"
+        ),
+        p.add_argument("--count", type=int, help="random instance count"),
+        p.add_argument("--max-parts", type=int),
+        p.add_argument("--max-part-size", type=int),
+        p.add_argument("--max-vertices", type=int),
+        p.add_argument("--exhaustive-n", type=int),
+        p.add_argument("--enum-cap", dest="mis_limit", metavar="ENUM_CAP", type=int),
+        p.add_argument("--seed", type=int),
+    ]
     _add_common(p)
-    p.set_defaults(handler=cmd_verify)
+    flags = {action.dest: action.option_strings[0] for action in sweep_options}
+    p.set_defaults(handler=cmd_verify, sweep_flags=flags)
 
     return parser
 
@@ -499,8 +462,6 @@ def main(argv: list[str] | None = None) -> int:
         config = RunConfig(
             output=args.output,
             jobs=args.jobs if args.jobs is not None else _default_jobs(),
-            enum_cap=args.enum_cap,
-            seed=args.seed,
         )
         return args.handler(args, config)
     except ParseError as exc:
@@ -512,6 +473,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # anything else is a defect; 1 is reserved for a sweep mismatch
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

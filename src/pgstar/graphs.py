@@ -29,6 +29,30 @@ def _bits(mask: int):
         mask ^= b
 
 
+def mask_components(adj: Sequence[int], mask: int) -> list[int]:
+    """Components of the subgraph induced by ``mask``, as bitmasks ordered by lowest bit.
+
+    The bit loop is inline, not ``_bits``: the engine calls this per subproblem.
+    """
+    comps = []
+    remaining = mask
+    while remaining:
+        comp = remaining & -remaining
+        frontier = comp
+        while frontier:
+            nxt = 0
+            f = frontier
+            while f:
+                b = f & -f
+                f ^= b
+                nxt |= adj[b.bit_length() - 1]
+            frontier = nxt & remaining & ~comp
+            comp |= frontier
+        comps.append(comp)
+        remaining &= ~comp
+    return comps
+
+
 class Graph:
     """Simple undirected graph on vertices 1..n.
 
@@ -88,13 +112,7 @@ class Graph:
     # -- induced subgraphs ------------------------------------------------
 
     def induced_subgraph(self, keep: Iterable[int]) -> "Graph":
-        g, _ = self.induced_subgraph_with_map(keep)
-        return g
-
-    def induced_subgraph_with_map(
-        self, keep: Iterable[int]
-    ) -> tuple["Graph", dict[int, int]]:
-        """Induced subgraph on ``keep`` plus the old->new label mapping.
+        """Induced subgraph on ``keep``.
 
         Surviving vertices are relabeled 1..k preserving their original
         order.
@@ -108,12 +126,7 @@ class Graph:
             for u, v in self.edges()
             if u in mapping and v in mapping
         ]
-        return Graph(len(kept), edges), mapping
-
-    def delete_vertex(self, v: int) -> "Graph":
-        """Induced subgraph on V - {v}, relabeled order-preservingly."""
-        self._check_vertex(v)
-        return self.induced_subgraph(u for u in self.vertices if u != v)
+        return Graph(len(kept), edges)
 
     def delete_closed_neighborhood(self, v: int) -> "Graph":
         """Induced subgraph on V - N[v], relabeled order-preservingly."""
@@ -161,21 +174,10 @@ class Graph:
 
     def connected_components(self) -> list[frozenset[int]]:
         """Maximal connected vertex sets, sorted by smallest member."""
-        comps = []
-        remaining = (1 << self._n) - 1
-        while remaining:
-            seed = remaining & -remaining
-            comp = seed
-            frontier = seed
-            while frontier:
-                nxt = 0
-                for v in _bits(frontier):
-                    nxt |= self._adj[v]
-                frontier = nxt & remaining & ~comp
-                comp |= frontier
-            comps.append(frozenset(v + 1 for v in _bits(comp)))
-            remaining &= ~comp
-        return comps
+        return [
+            frozenset(v + 1 for v in _bits(comp))
+            for comp in mask_components(self._adj, (1 << self._n) - 1)
+        ]
 
     def maximal_independent_sets(
         self, limit: int = MIS_ENUMERATION_LIMIT
@@ -229,11 +231,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({self._n}, {self.edges()!r})"
-
-
-def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Validated graph from a vertex count and an edge list."""
-    return Graph(n, edges)
 
 
 def path_graph(n: int) -> Graph:

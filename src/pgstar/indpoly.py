@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import EnumerationLimitError, Graph
+from .graphs import EnumerationLimitError, Graph, mask_components
 from .polynomials import ONE, IntPolynomial
 
 BRUTE_FORCE_LIMIT = 26
@@ -31,32 +31,13 @@ def independence_polynomial(g: Graph) -> IntPolynomial:
     adj = g._adj
     cache: dict[int, IntPolynomial] = {}
 
-    def components(mask: int) -> list[int]:
-        comps = []
-        remaining = mask
-        while remaining:
-            comp = remaining & -remaining
-            frontier = comp
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    f ^= b
-                    nxt |= adj[b.bit_length() - 1]
-                frontier = nxt & remaining & ~comp
-                comp |= frontier
-            comps.append(comp)
-            remaining &= ~comp
-        return comps
-
     def solve(mask: int) -> IntPolynomial:
         if mask == 0:
             return ONE
         hit = cache.get(mask)
         if hit is not None:
             return hit
-        comps = components(mask)
+        comps = mask_components(adj, mask)
         if len(comps) > 1:
             result = ONE
             for comp in comps:
@@ -105,11 +86,6 @@ def independence_polynomial_bruteforce(
             independent[mask] = 1
             counts[mask.bit_count()] += 1
     return IntPolynomial(counts)
-
-
-def independence_number(g: Graph) -> int:
-    """Size of a largest independent set; 0 for the empty graph."""
-    return max(independence_polynomial(g).degree, 0)
 
 
 @dataclass(frozen=True)

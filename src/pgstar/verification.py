@@ -8,6 +8,7 @@ the output is identical for any parallelism degree.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -64,12 +65,19 @@ class VerifyOutcome:
         }
 
 
+def _pool_size(jobs: int, items: int, cpus: int) -> int:
+    """Workers for a sweep: at most one per instance and per CPU, since the
+    pool starts every worker up front."""
+    return max(1, min(jobs, items, cpus))
+
+
 def _pmap(fn: Callable, items: Iterable, jobs: int) -> list:
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    workers = _pool_size(jobs, len(items), os.cpu_count() or 1)
+    if workers == 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(items) // (jobs * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(items) // (workers * 4))
         return list(pool.map(fn, items, chunksize=chunk))
 
 
@@ -512,3 +520,20 @@ def verify_oracle(
     corpus = list(random_graph_corpus(random_count, max_n, seed))
     corpus.extend(all_graphs_up_to(exhaustive_n))
     return _gather("oracle", _check_oracle, list(enumerate(corpus)), jobs, seed)
+
+
+# Every sweep ``pgstar verify`` runs, by id.  The CLI forwards only the options
+# a user sets, so each default lives in the function's signature alone.
+SWEEPS: dict[str, Callable[..., VerifyOutcome]] = {
+    "cycles": verify_cycles,
+    "paths": verify_paths,
+    "sequences": verify_sequences,
+    "multipartite": verify_multipartite,
+    "cameron-walker": verify_cameron_walker,
+    "vc-suspension": verify_vc_suspension,
+    "full-suspension": verify_full_suspension,
+    "cycle-mis-suspension": verify_cycle_mis_suspension,
+    "path-mis-suspension": verify_path_mis_suspension,
+    "deg-via-ord": verify_deg_via_ord,
+    "oracle": verify_oracle,
+}

@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from pgstar import cli
 from pgstar.cli import main
+from pgstar.verification import SWEEPS
 
 C6_TEXT = "6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n"
 K23_TEXT = "5 6\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n"
@@ -21,6 +24,24 @@ def c6_file(tmp_path):
     path = tmp_path / "c6.txt"
     path.write_text(C6_TEXT)
     return str(path)
+
+
+# Exact exit code and stdout of a fixed set of small invocations: every
+# verify id in text and JSON (and at its defaults), compute, family and
+# suspend.  A refactor must keep all of them byte-identical.
+GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["id"] for case in GOLDEN])
+def test_golden_output(case, c6_file, capsys):
+    argv = [c6_file if arg == "{c6}" else arg for arg in case["argv"]]
+    code, out, _ = run_cli(argv, capsys)
+    assert (code, out) == (case["exit"], case["stdout"])
+
+
+def test_golden_output_covers_every_sweep():
+    ids = {case["id"] for case in GOLDEN}
+    assert {f"verify-{t}-{out}" for t in SWEEPS for out in ("text", "json")} <= ids
 
 
 def test_compute_text(c6_file, capsys):
@@ -246,6 +267,49 @@ def test_verify_unknown_theorem_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "cycles", "--count", "5"], "verify cycles does not take --count"),
+        (["verify", "paths", "--seed", "3", "--enum-cap", "9"],
+         "verify paths does not take --enum-cap, --seed"),
+        (["verify", "deg-via-ord", "--enum-cap", "9"], "verify deg-via-ord does not take --enum-cap"),
+        (["verify", "cycle-mis-suspension", "--enum-cap", "0"], "enumeration cap must be >= 1"),
+    ],
+)
+def test_verify_rejects_options_its_sweep_does_not_take(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "graph.txt"],
+        ["family", "cycle", "--n", "6"],
+        ["suspend", "--family", "cycle", "--n", "6", "--full"],
+    ],
+)
+@pytest.mark.parametrize("option", ["--seed", "--enum-cap"])
+def test_seed_and_enum_cap_belong_to_verify_only(argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, "3"])
+    assert exc.value.code == 2
+
+
+def test_unexpected_exception_exits_4(monkeypatch, c6_file, capsys):
+    def broken(g):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "analyze", broken)
+    code, out, err = run_cli(["compute", c6_file], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: boom\n"
+
+
 def test_verify_enum_cap_exits_3(capsys):
     code, _, err = run_cli(
         ["verify", "cycle-mis-suspension", "--max-n", "12", "--enum-cap", "10"],
@@ -262,13 +326,15 @@ def test_verify_output_independent_of_parallelism(capsys):
     assert out1 == out2
 
 
-def test_jobs_env_var_is_honored(monkeypatch):
+def test_jobs_env_var_is_honored(monkeypatch, capsys):
     monkeypatch.setenv("PGSTAR_JOBS", "3")
     from pgstar.cli import _default_jobs
 
     assert _default_jobs() == 3
+    assert capsys.readouterr().err == ""
     monkeypatch.setenv("PGSTAR_JOBS", "junk")
     assert _default_jobs() == 1
+    assert capsys.readouterr().err == "warning: PGSTAR_JOBS='junk' is not an integer; using 1\n"
 
 
 def test_console_entry_point_subprocess(tmp_path):

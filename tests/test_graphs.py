@@ -8,11 +8,11 @@ from pgstar.graphs import (
     CameronWalkerSpec,
     EnumerationLimitError,
     Graph,
-    build_graph,
     cameron_walker,
     complete_multipartite,
     cycle_graph,
     disjoint_union,
+    mask_components,
     path_graph,
     suspension,
 )
@@ -31,34 +31,34 @@ def all_subsets(n):
 
 
 def test_build_triangle():
-    g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
+    g = Graph(3, [(1, 2), (2, 3), (1, 3)])
     assert g == cycle_graph(3)
     assert g.edge_count() == 3
 
 
 def test_build_single_vertex_and_path():
-    assert build_graph(1, []).n == 1
-    assert build_graph(4, [(1, 2), (2, 3), (3, 4)]) == path_graph(4)
+    assert Graph(1, []).n == 1
+    assert Graph(4, [(1, 2), (2, 3), (3, 4)]) == path_graph(4)
 
 
 def test_build_rejects_bad_labels_and_loops():
     with pytest.raises(ValueError):
-        build_graph(3, [(1, 4)])
+        Graph(3, [(1, 4)])
     with pytest.raises(ValueError):
-        build_graph(3, [(0, 1)])
+        Graph(3, [(0, 1)])
     with pytest.raises(ValueError):
-        build_graph(3, [(2, 2)])
+        Graph(3, [(2, 2)])
     with pytest.raises(ValueError):
         Graph(-1)
 
 
 def test_duplicate_edges_are_deduplicated():
-    g = build_graph(2, [(1, 2), (2, 1), (1, 2)])
+    g = Graph(2, [(1, 2), (2, 1), (1, 2)])
     assert g.edges() == [(1, 2)]
 
 
 def test_adjacency_is_symmetric_and_loop_free():
-    g = build_graph(5, [(1, 2), (3, 5), (2, 4)])
+    g = Graph(5, [(1, 2), (3, 5), (2, 4)])
     for u in g.vertices:
         assert u not in g.neighbors(u)
         for v in g.neighbors(u):
@@ -78,40 +78,43 @@ def test_neighbors_degree_has_edge():
 # -- deletion ----------------------------------------------------------------
 
 
+def delete_vertex(g, v):
+    return g.induced_subgraph(u for u in g.vertices if u != v)
+
+
 def test_delete_vertex_of_cycle_gives_path():
-    assert cycle_graph(4).delete_vertex(1) == path_graph(3)
+    assert delete_vertex(cycle_graph(4), 1) == path_graph(3)
 
 
 def test_delete_last_vertex_gives_empty_graph():
-    g = path_graph(1).delete_vertex(1)
+    g = delete_vertex(path_graph(1), 1)
     assert g.n == 0
     assert g.edges() == []
 
 
 def test_delete_vertex_from_small_part_of_k23_gives_star():
     # vertices 1,2 form the 2-part of K_{2,3}
-    g = complete_multipartite([2, 3]).delete_vertex(1)
-    star = build_graph(4, [(1, 2), (1, 3), (1, 4)])
+    g = delete_vertex(complete_multipartite([2, 3]), 1)
+    star = Graph(4, [(1, 2), (1, 3), (1, 4)])
     assert g == star
 
 
 def test_delete_vertex_out_of_range():
     with pytest.raises(ValueError):
-        path_graph(3).delete_vertex(4)
+        path_graph(3).induced_subgraph([1, 4])
 
 
 def test_delete_closed_neighborhood():
     assert cycle_graph(5).delete_closed_neighborhood(1) == path_graph(2)
-    star = build_graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
+    star = Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
     assert star.delete_closed_neighborhood(1).n == 0
     assert cycle_graph(6).delete_closed_neighborhood(1) == path_graph(3)
 
 
 def test_induced_subgraph_relabels_order_preserving():
-    g = path_graph(5)
-    sub, mapping = g.induced_subgraph_with_map([2, 4, 5])
-    assert mapping == {2: 1, 4: 2, 5: 3}
-    assert sub == build_graph(3, [(2, 3)])
+    assert path_graph(5).induced_subgraph([2, 4, 5]) == Graph(3, [(2, 3)])
+    # 1 -> 1, 2 -> 2, 5 -> 3 whatever order keep lists them in
+    assert cycle_graph(5).induced_subgraph([5, 1, 2]) == Graph(3, [(1, 2), (1, 3)])
 
 
 @settings(max_examples=150)
@@ -120,8 +123,8 @@ def test_deletions_commute_up_to_relabeling(g, data):
     u = data.draw(st.integers(1, g.n))
     v = data.draw(st.integers(1, g.n).filter(lambda x: x != u))
     # delete u first, adjusting the label of v, and vice versa
-    first = g.delete_vertex(u).delete_vertex(v - 1 if v > u else v)
-    second = g.delete_vertex(v).delete_vertex(u - 1 if u > v else u)
+    first = delete_vertex(delete_vertex(g, u), v - 1 if v > u else v)
+    second = delete_vertex(delete_vertex(g, v), u - 1 if u > v else u)
     assert first == second
 
 
@@ -131,8 +134,17 @@ def test_deletions_commute_up_to_relabeling(g, data):
 def test_connected_components():
     assert cycle_graph(5).connected_components() == [frozenset(range(1, 6))]
     assert Graph(0).connected_components() == []
-    g = build_graph(3, [(1, 2)])
+    g = Graph(3, [(1, 2)])
     assert g.connected_components() == [frozenset({1, 2}), frozenset({3})]
+
+
+def test_mask_components_of_induced_subgraph():
+    adj = cycle_graph(6)._adj
+    assert mask_components(adj, 0) == []
+    assert mask_components(adj, 0b111111) == [0b111111]
+    # dropping vertices 3 and 6 leaves the pieces {1,2} and {4,5}
+    assert mask_components(adj, 0b011011) == [0b000011, 0b011000]
+    assert mask_components(adj, 0b010101) == [0b000001, 0b000100, 0b010000]
 
 
 def test_is_independent():
@@ -291,7 +303,7 @@ def test_cw_single_edge_one_leaf_one_triangle():
 def test_cw_single_edge_one_leaf_no_triangle_is_p3():
     g = cameron_walker(CameronWalkerSpec(1, 1, [(1, 1)], [1], [0]))
     # leaf - x1 - y1, relabeled: 1=x1, 2=y1, 3=leaf
-    assert g == build_graph(3, [(1, 2), (1, 3)])
+    assert g == Graph(3, [(1, 2), (1, 3)])
 
 
 def test_cw_two_x_path_core():

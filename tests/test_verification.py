@@ -91,3 +91,18 @@ def test_enum_cap_propagates():
 
     with pytest.raises(EnumerationLimitError):
         verification.verify_cycle_mis_suspension(max_n=12, mis_limit=10)
+
+
+@pytest.mark.parametrize(
+    "jobs, items, cpus, workers",
+    [
+        (5000, 10, 2, 2),  # never more workers than CPUs
+        (5000, 3, 64, 3),  # ... or than instances
+        (2, 100, 64, 2),
+        (1, 100, 64, 1),
+        (4, 0, 4, 1),
+        (4, 1, 4, 1),
+    ],
+)
+def test_pool_size_is_bounded(jobs, items, cpus, workers):
+    assert verification._pool_size(jobs, items, cpus) == workers
