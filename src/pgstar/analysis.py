@@ -12,7 +12,6 @@ equivalent to P(-1) = (-1)^alpha.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .graphs import Graph
 from .indpoly import independence_polynomial, minus_one_profile
@@ -27,14 +26,16 @@ def h_polynomial(p: IntPolynomial, alpha: int) -> IntPolynomial:
     """
     if alpha != p.degree:
         raise ValueError(f"alpha = {alpha} does not match deg p = {p.degree}")
-    coeffs = []
-    for j in range(alpha + 1):
-        h_j = 0
-        for i in range(j + 1):
-            g_i = p.coefficient(i)
-            if g_i:
-                h_j += g_i * (-1) ** (j - i) * comb(alpha - i, j - i)
-        coeffs.append(h_j)
+    # row i adds g_i (-1)^k binom(alpha - i, k) to h_{i+k}; the binomials
+    # of one row follow from each other by an exact multiplicative step
+    coeffs = [0] * (alpha + 1)
+    for i, g_i in enumerate(p.coeffs):
+        if g_i:
+            m = alpha - i
+            term = g_i
+            for k in range(m + 1):
+                coeffs[i + k] += term
+                term = -term * (m - k) // (k + 1)
     return IntPolynomial(coeffs)
 
 

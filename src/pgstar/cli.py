@@ -351,7 +351,10 @@ def _run_sweep(args, config: RunConfig) -> verification.VerifyOutcome:
         raise ValueError(f"verify {args.theorem} does not take {', '.join(foreign)}")
     if options.get("mis_limit", 1) < 1:
         raise ValueError("enumeration cap must be >= 1")
-    return sweep(**options, jobs=config.jobs)
+    outcome = sweep(**options, jobs=config.jobs)
+    if not outcome.instances:
+        raise ValueError(f"verify {args.theorem} selects no instances")
+    return outcome
 
 
 def cmd_verify(args, config: RunConfig) -> int:

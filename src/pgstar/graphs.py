@@ -139,28 +139,36 @@ class Graph:
     # -- set predicates ----------------------------------------------------
 
     def _set_mask(self, s: Iterable[int]) -> int:
+        # one bounds check per set: a label below 1 makes a negative shift,
+        # one above n leaves a bit at position n or higher
         mask = 0
-        for v in s:
-            self._check_vertex(v)
-            mask |= 1 << (v - 1)
+        try:
+            for v in s:
+                mask |= 1 << (v - 1)
+        except ValueError:
+            mask = -1
+        if mask < 0 or mask >> self._n:
+            raise ValueError(f"vertex set has a label outside 1..{self._n}")
         return mask
+
+    def _spans_no_edge(self, mask: int) -> bool:
+        # inline bit loop, not ``_bits``: the set predicates are called in bulk
+        adj = self._adj
+        m = mask
+        while m:
+            b = m & -m
+            m ^= b
+            if adj[b.bit_length() - 1] & mask:
+                return False
+        return True
 
     def is_independent(self, s: Iterable[int]) -> bool:
         """True iff no edge has both endpoints in s."""
-        mask = self._set_mask(s)
-        for v in _bits(mask):
-            if self._adj[v] & mask:
-                return False
-        return True
+        return self._spans_no_edge(self._set_mask(s))
 
     def is_vertex_cover(self, c: Iterable[int]) -> bool:
         """True iff every edge has an endpoint in c."""
-        mask = self._set_mask(c)
-        outside = ((1 << self._n) - 1) & ~mask
-        for v in _bits(outside):
-            if self._adj[v] & outside:
-                return False
-        return True
+        return self._spans_no_edge(((1 << self._n) - 1) & ~self._set_mask(c))
 
     def is_maximal_independent(self, s: Iterable[int]) -> bool:
         """True iff s is independent and every outside vertex has a neighbor in s."""

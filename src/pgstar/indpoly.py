@@ -21,15 +21,31 @@ def independence_polynomial(g: Graph) -> IntPolynomial:
     Uses the recursion P(G) = P(G - v) + x * P(G - N[v]) with a
     maximum-degree pivot, after splitting the current induced subgraph
     into connected components (disjoint parts multiply).  Subgraphs are
-    bitmasks over the original vertex set; results are cached per mask
-    for the duration of one call, which keeps path- and cycle-like
-    instances polynomial-time.  No state survives between calls.
+    bitmasks over the original vertex set, and results are cached per
+    mask for the duration of one call.
+
+    A connected piece of maximum degree at most 2 is a path or a cycle,
+    which is never branched on: on k vertices it is P_k, or
+    C_k = P_{k-1} + x * P_{k-3}, built row by row from
+    P_k = P_{k-1} + x * P_{k-2}.  Only the two newest rows are kept (a
+    smaller k restarts from P_0), so such a piece costs O(k) polynomial
+    additions, no recursion and no table.  No state survives between calls.
     """
     n = g.n
     if n == 0:
         return ONE
     adj = g._adj
     cache: dict[int, IntPolynomial] = {}
+    # the two newest path rows, P_{j-1} and P_j; P_{-1} = P_0 = 1
+    j, prev, cur = 0, ONE, ONE
+
+    def path(k: int) -> IntPolynomial:
+        nonlocal j, prev, cur
+        if k < j:
+            j, prev, cur = 0, ONE, ONE
+        while j < k:
+            j, prev, cur = j + 1, cur, cur + prev.shift(1)
+        return cur
 
     def solve(mask: int) -> IntPolynomial:
         if mask == 0:
@@ -43,20 +59,29 @@ def independence_polynomial(g: Graph) -> IntPolynomial:
             for comp in comps:
                 result = result * solve(comp)
         else:
-            # connected piece: pivot on a maximum-degree vertex
             best_v = -1
             best_deg = -1
+            deg_sum = 0
             m = mask
             while m:
                 b = m & -m
                 m ^= b
                 v = b.bit_length() - 1
                 d = (adj[v] & mask).bit_count()
+                deg_sum += d
                 if d > best_deg:
                     best_deg, best_v = d, v
-            if best_deg == 0:
-                result = IntPolynomial((1, 1))  # single vertex
+            if best_deg <= 2:
+                # connected with k vertices: k - 1 edges for a path, k for a cycle
+                k = mask.bit_count()
+                if deg_sum == 2 * k:
+                    # the smaller row first, so the larger one continues from it
+                    below = path(k - 3).shift(1)
+                    result = path(k - 1) + below
+                else:
+                    result = path(k)
             else:
+                # pivot on a maximum-degree vertex
                 bit = 1 << best_v
                 without_v = solve(mask & ~bit)
                 without_closed = solve(mask & ~(bit | adj[best_v]))

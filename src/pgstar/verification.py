@@ -20,6 +20,7 @@ from .analysis import analyze
 from .graphs import (
     MIS_ENUMERATION_LIMIT,
     CameronWalkerSpec,
+    EnumerationLimitError,
     Graph,
     cameron_walker,
     complete_multipartite,
@@ -235,11 +236,31 @@ def _check_cameron_walker(spec: CameronWalkerSpec) -> list[Mismatch]:
 
 
 def _independent_sets(g: Graph) -> Iterator[frozenset[int]]:
+    """Nonempty independent sets of g, by size and then lexicographically.
+
+    Each size is walked depth first over vertices in label order, and a
+    branch only ever adds a vertex that has no neighbor in it, so the walk
+    never visits a dependent set.  Sizes stop at the first one with no set.
+    """
+    adj = g._adj
+
+    def extend(chosen: tuple[int, ...], allowed: int, need: int):
+        if not need:
+            yield frozenset(chosen)
+            return
+        while allowed.bit_count() >= need:
+            b = allowed & -allowed
+            allowed ^= b
+            v = b.bit_length() - 1
+            yield from extend(chosen + (v + 1,), allowed & ~adj[v], need - 1)
+
     for size in range(1, g.n + 1):
-        for combo in combinations(g.vertices, size):
-            s = frozenset(combo)
-            if g.is_independent(s):
-                yield s
+        found = False
+        for s in extend((), (1 << g.n) - 1, size):
+            found = True
+            yield s
+        if not found:
+            return
 
 
 def _check_vc_suspension(item: tuple[int, Graph]) -> list[Mismatch]:
@@ -471,9 +492,19 @@ def verify_cameron_walker(
 
 
 def verify_vc_suspension(
-    count: int = 100, max_n: int = 8, seed: int = DEFAULT_SEED, jobs: int = 1
+    count: int = 100,
+    max_n: int = 8,
+    seed: int = DEFAULT_SEED,
+    jobs: int = 1,
+    mis_limit: int = MIS_ENUMERATION_LIMIT,
 ) -> VerifyOutcome:
     corpus = list(enumerate(random_graph_corpus(count, max_n, seed)))
+    largest = max((g.n for _, g in corpus), default=0)
+    if largest > mis_limit:
+        raise EnumerationLimitError(
+            f"independent-set enumeration capped at n = {mis_limit}, "
+            f"corpus has a graph with n = {largest}"
+        )
     return _gather("vc-suspension", _check_vc_suspension, corpus, jobs, seed)
 
 

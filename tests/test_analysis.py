@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from pgstar.analysis import (
     a_invariant,
@@ -66,8 +66,10 @@ def test_h_of_constant_one():
     assert h_polynomial(IntPolynomial([1]), 0).coeffs == (1,)
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)  # the explicit examples take ~0.2 s
 @given(graphs(max_n=8))
+@example(path_graph(300))
+@example(cycle_graph(301))
 def test_both_h_routes_agree(g):
     p = independence_polynomial(g)
     assert h_polynomial(p, p.degree) == h_polynomial_by_expansion(p, p.degree)

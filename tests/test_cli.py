@@ -130,6 +130,13 @@ def test_family_cycle_17_agrees(capsys):
     assert payload["agreement"] is True
 
 
+def test_family_long_path_agrees(capsys):
+    # deep enough to exhaust the recursion limit under pure deletion-contraction
+    code, out, _ = run_cli(["family", "path", "--n", "1200"], capsys)
+    assert code == 0
+    assert out.endswith("agreement: yes\n")
+
+
 def test_family_multipartite(capsys):
     code, out, _ = run_cli(
         ["family", "multipartite", "--parts", "2,3", "--output", "json"], capsys
@@ -317,6 +324,34 @@ def test_verify_enum_cap_exits_3(capsys):
     )
     assert code == 3
     assert "capped" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "cycles", "--max-n", "-5"],
+        ["verify", "cameron-walker", "--count", "-3"],
+        ["verify", "oracle", "--random", "0", "--exhaustive-n", "-1"],
+    ],
+)
+def test_verify_with_no_instances_exits_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: verify {argv[1]} selects no instances\n"
+
+
+def test_vc_suspension_enum_cap_exits_3(capsys):
+    # the seed-0 graph has 25 vertices, one above the default cap
+    code, out, err = run_cli(
+        ["verify", "vc-suspension", "--count", "1", "--max-n", "40", "--seed", "0"], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: independent-set enumeration capped at n = 24, "
+        "corpus has a graph with n = 25\n"
+    )
 
 
 def test_verify_output_independent_of_parallelism(capsys):

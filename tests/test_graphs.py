@@ -156,6 +156,15 @@ def test_is_independent():
         c4.is_independent({0})
 
 
+@pytest.mark.parametrize("label", [0, -1, 5, 64])
+@pytest.mark.parametrize(
+    "predicate", ["is_independent", "is_vertex_cover", "is_maximal_independent"]
+)
+def test_set_predicates_reject_labels_outside_range(predicate, label):
+    with pytest.raises(ValueError, match=r"outside 1\.\.4"):
+        getattr(cycle_graph(4), predicate)([1, label])
+
+
 def test_is_vertex_cover():
     assert cycle_graph(4).is_vertex_cover({1, 3})
     assert not cycle_graph(5).is_vertex_cover({1, 3})  # edge {4,5} uncovered

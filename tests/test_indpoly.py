@@ -1,8 +1,10 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgstar.families import c_value, p_value
 from pgstar.graphs import (
@@ -88,6 +90,45 @@ def test_engine_matches_third_route_on_structured_graphs():
 @given(graphs(max_n=8))
 def test_engine_matches_bruteforce_random(g):
     assert independence_polynomial(g) == independence_polynomial_bruteforce(g)
+
+
+@st.composite
+def chain_unions(draw, max_n: int = 18):
+    """Disjoint paths (P_0 up) and cycles plus up to three chords, n <= max_n.
+
+    The chords give the engine pivots whose deletions leave path and
+    cycle pieces behind.
+    """
+    edges = []
+    n = 0
+    for _ in range(draw(st.integers(0, 5))):
+        room = max_n - n
+        cycle = room >= 3 and draw(st.booleans())
+        k = draw(st.integers(3 if cycle else 0, room))
+        edges += [(n + i, n + i + 1) for i in range(1, k)]
+        if cycle:
+            edges.append((n + k, n + 1))
+        n += k
+    if n >= 2:
+        pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+        edges += draw(st.lists(pairs, max_size=3))
+    return Graph(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_unions())
+def test_engine_matches_bruteforce_on_chain_unions(g):
+    assert independence_polynomial(g) == independence_polynomial_bruteforce(g)
+
+
+def test_long_path_and_cycle_coefficients():
+    # i_k(P_n) = binom(n - k + 1, k) and i_k(C_n) = n / (n - k) * binom(n - k, k)
+    n = 1200
+    want = [comb(n - k + 1, k) for k in range((n + 1) // 2 + 1)]
+    assert independence_polynomial(path_graph(n)).coeffs == tuple(want)
+    n = 1500
+    want = [1] + [n * comb(n - k, k) // (n - k) for k in range(1, n // 2 + 1)]
+    assert independence_polynomial(cycle_graph(n)).coeffs == tuple(want)
 
 
 # -- structural invariants ---------------------------------------------------------

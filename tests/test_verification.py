@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from pgstar import families, verification
@@ -106,3 +108,16 @@ def test_enum_cap_propagates():
 )
 def test_pool_size_is_bounded(jobs, items, cpus, workers):
     assert verification._pool_size(jobs, items, cpus) == workers
+
+
+def test_independent_sets_walk_matches_subset_filter():
+    # same sets in the same order (by size, then lexicographic) as filtering
+    # every subset
+    for g in random_graph_corpus(60, 9, seed=11) + [Graph(0), Graph(5)]:
+        want = [
+            frozenset(c)
+            for size in range(1, g.n + 1)
+            for c in combinations(g.vertices, size)
+            if g.is_independent(c)
+        ]
+        assert list(verification._independent_sets(g)) == want
