@@ -106,3 +106,21 @@ def analyze(g: Graph) -> AnalysisReport:
         pseudo_gorenstein=pg,
         pseudo_gorenstein_star=pg and a == 0,
     )
+
+
+def report_to_dict(n: int, rep: AnalysisReport) -> dict:
+    """The report of an n-vertex graph as JSON-ready fields; integers that
+    can grow large are decimal strings."""
+    return {
+        "n": n,
+        "alpha": rep.alpha,
+        "independence_polynomial": [str(c) for c in rep.ind_poly.coeffs],
+        "p_at_minus_one": str(rep.p_minus_one),
+        "multiplicity": rep.multiplicity,
+        "a_invariant": rep.a_invariant,
+        "h_polynomial": [str(c) for c in rep.h_poly.coeffs],
+        "h_degree": rep.h_degree,
+        "h_top": str(rep.h_top),
+        "pseudo_gorenstein": rep.pseudo_gorenstein,
+        "pseudo_gorenstein_star": rep.pseudo_gorenstein_star,
+    }

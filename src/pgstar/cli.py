@@ -3,7 +3,9 @@
 Subcommands: ``compute`` (analyze a graph file), ``family`` (build a
 named family member and compare against its closed form), ``suspend``
 (build and analyze a suspension, with predictions where a classification
-applies) and ``verify`` (run a named verification sweep).
+applies) and ``verify`` (run a named verification sweep).  ``family``,
+``suspend`` and the sweeps take their predictions from the same
+``families.predict_*`` functions and compare them the same way.
 
 Exit codes: 0 success / sweep passed, 1 sweep mismatch, 2 usage or parse
 error, 3 enumeration cap exceeded, 4 internal error.  JSON output renders
@@ -20,7 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from . import families, verification
-from .analysis import AnalysisReport, analyze
+from .analysis import AnalysisReport, analyze, report_to_dict
 from .graphs import (
     CameronWalkerSpec,
     EnumerationLimitError,
@@ -61,22 +63,6 @@ def _default_jobs() -> int:
     except ValueError:
         print(f"warning: {JOBS_ENV_VAR}={raw!r} is not an integer; using 1", file=sys.stderr)
         return 1
-
-
-def report_to_dict(n: int, rep: AnalysisReport) -> dict:
-    return {
-        "n": n,
-        "alpha": rep.alpha,
-        "independence_polynomial": [str(c) for c in rep.ind_poly.coeffs],
-        "p_at_minus_one": str(rep.p_minus_one),
-        "multiplicity": rep.multiplicity,
-        "a_invariant": rep.a_invariant,
-        "h_polynomial": [str(c) for c in rep.h_poly.coeffs],
-        "h_degree": rep.h_degree,
-        "h_top": str(rep.h_top),
-        "pseudo_gorenstein": rep.pseudo_gorenstein,
-        "pseudo_gorenstein_star": rep.pseudo_gorenstein_star,
-    }
 
 
 def _yesno(flag: bool) -> str:
@@ -149,61 +135,30 @@ def _cw_spec_from_args(args) -> CameronWalkerSpec:
     )
 
 
-def _build_family(args) -> tuple[Graph, dict]:
-    """Returns the graph and a JSON-friendly parameter echo."""
+def _build_family(args) -> tuple[Graph, dict, dict]:
+    """Returns the graph, a JSON-friendly parameter echo and the family's
+    closed-form prediction."""
     name = args.family
     if name in ("path", "cycle"):
         if args.n is None:
             raise ValueError(f"--n is required for family {name!r}")
         g = path_graph(args.n) if name == "path" else cycle_graph(args.n)
-        return g, {"n": args.n}
+        return g, {"n": args.n}, families.predict_chain(name, args.n)
     if name == "multipartite":
         if not args.parts:
             raise ValueError("--parts is required for family 'multipartite'")
         parts = _parse_int_list(args.parts, "--parts")
-        return complete_multipartite(parts), {"parts": parts}
+        g = complete_multipartite(parts)
+        return g, {"parts": parts}, families.predict_multipartite(parts)
     spec = _cw_spec_from_args(args)
-    return cameron_walker(spec), {
+    params = {
         "core_x": spec.core_x,
         "core_y": spec.core_y,
         "core_edges": [list(e) for e in spec.core_edges],
         "leaves": list(spec.leaves),
         "triangles": list(spec.triangles),
     }
-
-
-def _family_prediction(args) -> dict:
-    """Closed-form predictions, keyed like the computed report."""
-    name = args.family
-    if name == "path":
-        return {
-            "p_at_minus_one": str(families.p_value(args.n)),
-            "pseudo_gorenstein_star": families.path_is_pg_star(args.n),
-        }
-    if name == "cycle":
-        return {
-            "p_at_minus_one": str(families.c_value(args.n)),
-            "pseudo_gorenstein_star": families.cycle_is_pg_star(args.n),
-        }
-    if name == "multipartite":
-        parts = _parse_int_list(args.parts, "--parts")
-        closed = families.multipartite_closed_poly(parts)
-        return {
-            "independence_polynomial": [str(c) for c in closed.coeffs],
-            "pseudo_gorenstein_star": families.multipartite_is_pg_star(parts),
-        }
-    counts = families.cw_counts(_cw_spec_from_args(args))
-    return {
-        "p_at_minus_one": str(families.cw_minus_one(counts)),
-        "alpha": families.cw_alpha(counts),
-        "multiplicity": 0,
-        "pseudo_gorenstein_star": families.cw_is_pg_star(counts),
-    }
-
-
-def _agreement(predicted: dict, computed: dict) -> bool:
-    comparable = set(predicted) & set(computed)
-    return all(predicted[k] == computed[k] for k in comparable)
+    return cameron_walker(spec), params, families.predict_cameron_walker(spec)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -218,11 +173,10 @@ def cmd_compute(args, config: RunConfig) -> int:
 
 
 def cmd_family(args, config: RunConfig) -> int:
-    g, params = _build_family(args)
+    g, params, predicted = _build_family(args)
     rep = analyze(g)
     computed = report_to_dict(g.n, rep)
-    predicted = _family_prediction(args)
-    agreement = _agreement(predicted, computed)
+    agreement = not verification.prediction_mismatches("", predicted, g.n, rep)
     payload = {
         "family": args.family,
         "parameters": params,
@@ -258,50 +212,26 @@ def _suspension_prediction(args, g: Graph, members: frozenset[int], roles) -> di
     # family-specific classifications only apply when the base was built
     # from --family, never to file-loaded graphs
     base_family = None if args.input else args.family
-    full = members == frozenset(g.vertices)
-    if full and base_family == "cycle":
-        return {"pseudo_gorenstein_star": families.full_susp_cycle_is_pg_star(args.n)}
-    if full and base_family == "path":
-        return {"pseudo_gorenstein_star": families.full_susp_path_is_pg_star(args.n)}
-    if "maximal-independent" in roles and base_family == "cycle":
-        if args.n == 3:
-            return {"h_top": "-1", "pseudo_gorenstein_star": False}
-        params = families.cycle_mis_susp_params(args.n, members)
-        return {
-            "h_top": str(families.cycle_mis_susp_top_coeff(params)),
-            "pseudo_gorenstein_star": families.cycle_mis_susp_is_pg_star(params),
-        }
-    if "maximal-independent" in roles and base_family == "path":
-        params = families.path_mis_susp_params(args.n, members)
-        outcome = families.path_mis_susp_classify(params)
-        predicted = {
-            "a_invariant_zero": outcome.a_zero,
-            "pseudo_gorenstein_star": outcome.pg_star,
-        }
-        if outcome.top_coeff is not None:
-            predicted["h_top"] = str(outcome.top_coeff)
-        return predicted
+    if base_family in ("path", "cycle"):
+        if members == frozenset(g.vertices):
+            return families.predict_cone(base_family, args.n)
+        if "maximal-independent" in roles:
+            return families.predict_mis_suspension(base_family, args.n, members)
     if "vertex-cover" in roles:
-        base_rep = analyze(g)
-        n_s = g.n - len(members)
-        case = families.vc_suspension_prediction(n_s, base_rep.alpha)
-        predicted = {"case": case}
-        if case == families.PRESERVED:
-            predicted["pseudo_gorenstein_star"] = base_rep.pseudo_gorenstein_star
-        elif case == families.NEVER_PG_STAR and base_rep.pseudo_gorenstein_star:
-            predicted["pseudo_gorenstein_star"] = False
-            predicted["h_top"] = "-1"
-        elif case == families.FULL_SUSPENSION_CASE:
-            predicted["p_at_minus_one"] = str(base_rep.p_minus_one - 1)
-        return predicted
+        base = analyze(g)
+        return families.predict_vc_suspension(
+            g.n - len(members), base.alpha, base.pseudo_gorenstein_star, base.p_minus_one
+        )
     return None
 
 
 def cmd_suspend(args, config: RunConfig) -> int:
     if args.input:
         g = load_graph(args.input, args.format)
+    elif args.family:
+        g, _, _ = _build_family(args)
     else:
-        g, _ = _build_family(args)
+        raise ValueError("suspend needs --input or --family")
     if args.full:
         members = frozenset(g.vertices)
     else:
@@ -315,12 +245,9 @@ def cmd_suspend(args, config: RunConfig) -> int:
     rep = analyze(h)
     computed = report_to_dict(h.n, rep)
     predicted = _suspension_prediction(args, g, members, roles)
+    agreement = None
     if predicted is not None:
-        comparable = dict(computed)
-        comparable["a_invariant_zero"] = rep.a_invariant == 0
-        agreement = _agreement(predicted, comparable)
-    else:
-        agreement = None
+        agreement = not verification.prediction_mismatches("", predicted, h.n, rep)
     payload = {
         "base_n": g.n,
         "attachment": sorted(members),

@@ -2,9 +2,11 @@
 
 Everything here is pure arithmetic on the family parameters (period-6
 and period-12 tables, parity conditions, gap statistics); no polynomial
-is ever computed.  The verification sweeps are the one place these
-predictions meet the exact computation, which is the whole point of
-keeping the two routes independent.
+is ever computed.  The ``predict_*`` functions turn a family's parameters
+into the report fields its classification predicts; ``pgstar family``,
+``pgstar suspend`` and the verification sweeps all compare those against
+the exact computation, which is the whole point of keeping the two
+routes independent.
 """
 
 from __future__ import annotations
@@ -325,3 +327,79 @@ def cycle_mis_susp_params(n: int, members: frozenset[int]) -> CycleSuspensionPar
     if not g.is_maximal_independent(members):
         raise ValueError(f"{sorted(members)} is not maximal independent in the {n}-cycle")
     return CycleSuspensionParams(n=n, c=len(members))
+
+
+# -- predicted report fields, one function per classification ------------
+#
+# Keyed and rendered as in ``analysis.report_to_dict``; ``case`` and
+# ``a_invariant_zero`` are the two keys a report does not carry.  ``kind``
+# is "path" or "cycle".
+
+
+def predict_chain(kind: str, n: int) -> dict:
+    """P(-1) and the pseudo-Gorenstein* flag of the path or cycle on n vertices."""
+    if kind == "path":
+        return {"p_at_minus_one": str(p_value(n)), "pseudo_gorenstein_star": path_is_pg_star(n)}
+    return {"p_at_minus_one": str(c_value(n)), "pseudo_gorenstein_star": cycle_is_pg_star(n)}
+
+
+def predict_multipartite(parts: Sequence[int]) -> dict:
+    return {
+        "independence_polynomial": [str(c) for c in multipartite_closed_poly(parts).coeffs],
+        "pseudo_gorenstein_star": multipartite_is_pg_star(parts),
+    }
+
+
+def predict_cameron_walker(spec: CameronWalkerSpec) -> dict:
+    counts = cw_counts(spec)
+    return {
+        "p_at_minus_one": str(cw_minus_one(counts)),
+        "alpha": cw_alpha(counts),
+        "multiplicity": 0,
+        "pseudo_gorenstein_star": cw_is_pg_star(counts),
+    }
+
+
+def predict_cone(kind: str, n: int) -> dict:
+    """The suspension over every vertex of the path or cycle on n vertices."""
+    if kind == "path":
+        return {"pseudo_gorenstein_star": full_susp_path_is_pg_star(n)}
+    return {"pseudo_gorenstein_star": full_susp_cycle_is_pg_star(n)}
+
+
+def predict_mis_suspension(kind: str, n: int, members: frozenset[int]) -> dict:
+    """The suspension of the path or cycle on n vertices over a maximal
+    independent set; the triangle (h = 1 + 2t - t^2) is the one exception
+    to the cycle trichotomy."""
+    if kind == "path":
+        outcome = path_mis_susp_classify(path_mis_susp_params(n, members))
+        predicted = {
+            "a_invariant_zero": outcome.a_zero,
+            "pseudo_gorenstein_star": outcome.pg_star,
+        }
+        if outcome.top_coeff is not None:
+            predicted["h_top"] = str(outcome.top_coeff)
+        return predicted
+    if n == 3:
+        return {"h_top": "-1", "pseudo_gorenstein_star": False}
+    params = cycle_mis_susp_params(n, members)
+    return {
+        "h_top": str(cycle_mis_susp_top_coeff(params)),
+        "pseudo_gorenstein_star": cycle_mis_susp_is_pg_star(params),
+    }
+
+
+def predict_vc_suspension(n_s: int, alpha: int, pg_star: bool, p_minus_one: int) -> dict:
+    """The suspension over a vertex cover that leaves n_s vertices out, of a
+    base with independence number alpha, pseudo-Gorenstein* flag pg_star and
+    value p_minus_one at -1."""
+    case = vc_suspension_prediction(n_s, alpha)
+    predicted = {"case": case}
+    if case == PRESERVED:
+        predicted["pseudo_gorenstein_star"] = pg_star
+    elif case == NEVER_PG_STAR and pg_star:
+        predicted["pseudo_gorenstein_star"] = False
+        predicted["h_top"] = "-1"
+    elif case == FULL_SUSPENSION_CASE:
+        predicted["p_at_minus_one"] = str(p_minus_one - 1)
+    return predicted

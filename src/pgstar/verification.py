@@ -1,9 +1,12 @@
 """Named verification sweeps: closed-form predictions vs exact computation.
 
 Each sweep checks one classification result over a finite instance range
-and reports every disagreement.  Instances are independent, so sweeps
-may fan out to a process pool; results are merged in instance order and
-the output is identical for any parallelism degree.
+and reports every disagreement.  The predictions come from the
+``families.predict_*`` functions that ``pgstar family`` and ``suspend``
+print; a sweep adds only what a single report cannot show, such as the
+h-polynomial identities against the base graph.  Instances are
+independent, so sweeps may fan out to a process pool; results are merged
+in instance order and the output is identical for any parallelism degree.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterable, Iterator
 
 from . import families
-from .analysis import analyze
+from .analysis import AnalysisReport, analyze, report_to_dict
 from .graphs import (
     MIS_ENUMERATION_LIMIT,
     CameronWalkerSpec,
@@ -88,6 +91,24 @@ def _gather(theorem, checks, items, jobs, seed=None) -> VerifyOutcome:
     return VerifyOutcome(theorem, len(results), mismatches, seed)
 
 
+def prediction_mismatches(
+    instance: str, predicted: dict, n: int, rep: AnalysisReport
+) -> list[Mismatch]:
+    """Every predicted field that the report of an n-vertex graph contradicts.
+
+    ``predicted`` is keyed like ``report_to_dict``; a key the report does
+    not carry, such as ``case``, is skipped, and ``a_invariant_zero`` is
+    read off the a-invariant.
+    """
+    computed = report_to_dict(n, rep)
+    computed["a_invariant_zero"] = rep.a_invariant == 0
+    return [
+        Mismatch(f"{instance} {key}", str(want), str(computed[key]))
+        for key, want in predicted.items()
+        if key in computed and computed[key] != want
+    ]
+
+
 # -- corpora ---------------------------------------------------------------
 
 
@@ -116,6 +137,15 @@ def all_graphs(n: int) -> Iterator[Graph]:
 def all_graphs_up_to(max_n: int) -> Iterator[Graph]:
     for n in range(max_n + 1):
         yield from all_graphs(n)
+
+
+def _mixed_corpus(
+    random_count: int, max_n: int, seed: int, exhaustive_n: int
+) -> list[tuple[int, Graph]]:
+    """Numbered seeded random graphs, then every graph with n <= exhaustive_n."""
+    corpus = list(random_graph_corpus(random_count, max_n, seed))
+    corpus.extend(all_graphs_up_to(exhaustive_n))
+    return list(enumerate(corpus))
 
 
 def random_cameron_walker_specs(
@@ -156,37 +186,32 @@ def random_cameron_walker_specs(
 # -- per-instance checks (top level so the pool can pickle them) -----------
 
 
-def _check_cycle_pg_star(n: int) -> list[Mismatch]:
-    got = analyze(cycle_graph(n)).pseudo_gorenstein_star
-    want = families.cycle_is_pg_star(n)
-    if got != want:
-        return [Mismatch(f"C_{n}", str(want), str(got))]
-    return []
+def _chain(kind: str, n: int) -> tuple[Graph, str]:
+    """The path or cycle on n vertices and its name."""
+    if kind == "path":
+        return path_graph(n), f"P_{n}"
+    return cycle_graph(n), f"C_{n}"
 
 
-def _check_path_pg_star(n: int) -> list[Mismatch]:
-    got = analyze(path_graph(n)).pseudo_gorenstein_star
-    want = families.path_is_pg_star(n)
-    if got != want:
-        return [Mismatch(f"P_{n}", str(want), str(got))]
-    return []
+def _check_chain(item: tuple[str, int]) -> list[Mismatch]:
+    kind, n = item
+    g, name = _chain(kind, n)
+    return prediction_mismatches(name, families.predict_chain(kind, n), g.n, analyze(g))
 
 
 def _check_sequence(item: tuple[str, int]) -> list[Mismatch]:
     kind, n = item
+    g, name = _chain(kind, n)
+    value = independence_polynomial(g)(-1)
     out = []
     if kind == "path":
-        value = independence_polynomial(path_graph(n))(-1)
         want = families.p_value(n)
         signed = (-1) ** ((n + 1) // 2) * value
         signed_want = families.b_value(n)
-        name = f"P_{n}"
     else:
-        value = independence_polynomial(cycle_graph(n))(-1)
         want = families.c_value(n)
         signed = (-1) ** (n // 2) * value
         signed_want = families.a_value(n)
-        name = f"C_{n}"
     if value != want:
         out.append(Mismatch(f"{name} value at -1", str(want), str(value)))
     if signed != signed_want:
@@ -196,43 +221,14 @@ def _check_sequence(item: tuple[str, int]) -> list[Mismatch]:
 
 def _check_multipartite(parts: tuple[int, ...]) -> list[Mismatch]:
     g = complete_multipartite(parts)
-    out = []
-    computed = independence_polynomial(g)
-    closed = families.multipartite_closed_poly(parts)
-    if computed != closed:
-        out.append(
-            Mismatch(f"K_{parts} polynomial", str(closed.coeffs), str(computed.coeffs))
-        )
-    got = analyze(g).pseudo_gorenstein_star
-    want = families.multipartite_is_pg_star(parts)
-    if got != want:
-        out.append(Mismatch(f"K_{parts} pg-star", str(want), str(got)))
-    return out
+    predicted = families.predict_multipartite(parts)
+    return prediction_mismatches(f"K_{parts}", predicted, g.n, analyze(g))
 
 
 def _check_cameron_walker(spec: CameronWalkerSpec) -> list[Mismatch]:
     g = cameron_walker(spec)
-    counts = families.cw_counts(spec)
-    rep = analyze(g)
     name = f"CW(x={spec.core_x},y={spec.core_y},f={spec.leaves},t={spec.triangles})"
-    out = []
-    if rep.p_minus_one != families.cw_minus_one(counts):
-        out.append(
-            Mismatch(f"{name} P(-1)", str(families.cw_minus_one(counts)), str(rep.p_minus_one))
-        )
-    if rep.alpha != families.cw_alpha(counts):
-        out.append(Mismatch(f"{name} alpha", str(families.cw_alpha(counts)), str(rep.alpha)))
-    if rep.multiplicity != 0:
-        out.append(Mismatch(f"{name} multiplicity", "0", str(rep.multiplicity)))
-    if rep.pseudo_gorenstein_star != families.cw_is_pg_star(counts):
-        out.append(
-            Mismatch(
-                f"{name} pg-star",
-                str(families.cw_is_pg_star(counts)),
-                str(rep.pseudo_gorenstein_star),
-            )
-        )
-    return out
+    return prediction_mismatches(name, families.predict_cameron_walker(spec), g.n, analyze(g))
 
 
 def _independent_sets(g: Graph) -> Iterator[frozenset[int]]:
@@ -266,75 +262,38 @@ def _independent_sets(g: Graph) -> Iterator[frozenset[int]]:
 def _check_vc_suspension(item: tuple[int, Graph]) -> list[Mismatch]:
     index, g = item
     rep = analyze(g)
-    alpha = rep.alpha
     one_minus_t = IntPolynomial((1, -1))
     t = IntPolynomial((0, 1))
     out = []
-    for s_set in _independent_sets(g):
-        s = len(s_set)
+    # S = {} is the cone, the full-suspension case
+    for s_set in [frozenset(), *_independent_sets(g)]:
         cover = frozenset(g.vertices) - s_set
         if not cover:
             continue
-        name = f"graph#{index} S={sorted(s_set)}"
-        if 1 <= s <= alpha - 1:
-            reph = analyze(suspension(g, cover))
-            if reph.pseudo_gorenstein_star != rep.pseudo_gorenstein_star:
-                out.append(
-                    Mismatch(
-                        f"{name} pg-star preserved",
-                        str(rep.pseudo_gorenstein_star),
-                        str(reph.pseudo_gorenstein_star),
-                    )
-                )
-            if reph.alpha != alpha:
-                out.append(Mismatch(f"{name} alpha preserved", str(alpha), str(reph.alpha)))
-            diff = reph.h_poly - rep.h_poly
-            want = t * one_minus_t ** (alpha - s - 1)
-            if diff != want:
-                out.append(
-                    Mismatch(f"{name} h difference", str(want.coeffs), str(diff.coeffs))
-                )
-        elif s == alpha:
-            reph = analyze(suspension(g, cover))
+        s = len(s_set)
+        predicted = families.predict_vc_suspension(
+            s, rep.alpha, rep.pseudo_gorenstein_star, rep.p_minus_one
+        )
+        # the h identities of the paper's two cases, against the base's h
+        if predicted["case"] == families.PRESERVED:
+            predicted["alpha"] = rep.alpha
+            want_h = rep.h_poly + t * one_minus_t ** (rep.alpha - s - 1)
+            predicted["h_polynomial"] = [str(c) for c in want_h.coeffs]
+        elif predicted["case"] == families.NEVER_PG_STAR:
             want_h = one_minus_t * rep.h_poly + t
-            if reph.h_poly != want_h:
-                out.append(
-                    Mismatch(
-                        f"{name} extremal h identity",
-                        str(want_h.coeffs),
-                        str(reph.h_poly.coeffs),
-                    )
-                )
-            if rep.pseudo_gorenstein_star:
-                if reph.h_degree != alpha + 1 or reph.h_poly.leading_coefficient != -1:
-                    out.append(
-                        Mismatch(
-                            f"{name} extremal leading coefficient",
-                            f"-1 in degree {alpha + 1}",
-                            f"{reph.h_poly.leading_coefficient} in degree {reph.h_degree}",
-                        )
-                    )
-                if reph.pseudo_gorenstein_star:
-                    out.append(
-                        Mismatch(f"{name} extremal pg-star", "False", "True")
-                    )
+            predicted["h_polynomial"] = [str(c) for c in want_h.coeffs]
+        gz = suspension(g, cover)
+        name = f"graph#{index} S={sorted(s_set)}"
+        out.extend(prediction_mismatches(name, predicted, gz.n, analyze(gz)))
     return out
 
 
 def _check_full_suspension(item: tuple[str, int]) -> list[Mismatch]:
     kind, n = item
-    if kind == "cycle":
-        base = cycle_graph(n)
-        want = families.full_susp_cycle_is_pg_star(n)
-        name = f"cone over C_{n}"
-    else:
-        base = path_graph(n)
-        want = families.full_susp_path_is_pg_star(n)
-        name = f"cone over P_{n}"
-    got = analyze(suspension(base, base.vertices)).pseudo_gorenstein_star
-    if got != want:
-        return [Mismatch(name, str(want), str(got))]
-    return []
+    base, name = _chain(kind, n)
+    gz = suspension(base, base.vertices)
+    predicted = families.predict_cone(kind, n)
+    return prediction_mismatches(f"cone over {name}", predicted, gz.n, analyze(gz))
 
 
 def _structure_mismatch(name: str, h: Graph, c: int, ell: int) -> list[Mismatch]:
@@ -362,34 +321,15 @@ def _check_cycle_mis_suspension(item: tuple[int, int]) -> list[Mismatch]:
     out = []
     for members in g.maximal_independent_sets(limit):
         name = f"C_{n} susp over {sorted(members)}"
-        gz = suspension(g, members)
-        rep = analyze(gz)
-        c = len(members)
-        ell = n - 2 * c
+        predicted = families.predict_mis_suspension("cycle", n, members)
+        predicted["multiplicity"] = 0
         if n == 3:
-            if rep.ind_poly != IntPolynomial((1, 4, 2)):
-                out.append(
-                    Mismatch(f"{name} polynomial", "(1, 4, 2)", str(rep.ind_poly.coeffs))
-                )
-            if rep.h_poly != IntPolynomial((1, 2, -1)):
-                out.append(
-                    Mismatch(f"{name} h polynomial", "(1, 2, -1)", str(rep.h_poly.coeffs))
-                )
-            if rep.pseudo_gorenstein_star:
-                out.append(Mismatch(f"{name} pg-star", "False", "True"))
-        else:
-            params = families.cycle_mis_susp_params(n, members)
-            want_top = families.cycle_mis_susp_top_coeff(params)
-            want_pg = families.cycle_mis_susp_is_pg_star(params)
-            if rep.h_top != want_top:
-                out.append(Mismatch(f"{name} h top", str(want_top), str(rep.h_top)))
-            if rep.pseudo_gorenstein_star != want_pg:
-                out.append(
-                    Mismatch(f"{name} pg-star", str(want_pg), str(rep.pseudo_gorenstein_star))
-                )
-        if rep.multiplicity != 0:
-            out.append(Mismatch(f"{name} multiplicity", "0", str(rep.multiplicity)))
-        out.extend(_structure_mismatch(name, gz.delete_closed_neighborhood(gz.n), c, ell))
+            predicted["independence_polynomial"] = ["1", "4", "2"]
+            predicted["h_polynomial"] = ["1", "2", "-1"]
+        gz = suspension(g, members)
+        out.extend(prediction_mismatches(name, predicted, gz.n, analyze(gz)))
+        c = len(members)
+        out.extend(_structure_mismatch(name, gz.delete_closed_neighborhood(gz.n), c, n - 2 * c))
     return out
 
 
@@ -399,30 +339,22 @@ def _check_path_mis_suspension(item: tuple[int, int]) -> list[Mismatch]:
     out = []
     for members in g.maximal_independent_sets(limit):
         name = f"P_{n} susp over {sorted(members)}"
-        params = families.path_mis_susp_params(n, members)
-        outcome = families.path_mis_susp_classify(params)
-        rep = analyze(suspension(g, members))
+        e = families.path_mis_susp_params(n, members).e
         canonical = frozenset(range(1, n + 1, 3)) if n % 3 == 1 else frozenset()
-        if (params.e == 0) != (members == canonical):
+        if (e == 0) != (members == canonical):
             out.append(
                 Mismatch(
                     f"{name} e=0 detection",
                     f"e==0 iff set == {sorted(canonical)}",
-                    f"e={params.e}, set={sorted(members)}",
+                    f"e={e}, set={sorted(members)}",
                 )
             )
-        if (rep.multiplicity == 0) != outcome.a_zero:
-            out.append(
-                Mismatch(f"{name} a-invariant zero", str(outcome.a_zero), str(rep.multiplicity == 0))
-            )
-        if not outcome.a_zero and rep.a_invariant >= 0:
+        predicted = families.predict_mis_suspension("path", n, members)
+        gz = suspension(g, members)
+        rep = analyze(gz)
+        out.extend(prediction_mismatches(name, predicted, gz.n, rep))
+        if not predicted["a_invariant_zero"] and rep.a_invariant >= 0:
             out.append(Mismatch(f"{name} a-invariant sign", "< 0", str(rep.a_invariant)))
-        if outcome.top_coeff is not None and rep.h_top != outcome.top_coeff:
-            out.append(Mismatch(f"{name} h top", str(outcome.top_coeff), str(rep.h_top)))
-        if rep.pseudo_gorenstein_star != outcome.pg_star:
-            out.append(
-                Mismatch(f"{name} pg-star", str(outcome.pg_star), str(rep.pseudo_gorenstein_star))
-            )
     return out
 
 
@@ -460,11 +392,13 @@ def _check_oracle(item: tuple[int, Graph]) -> list[Mismatch]:
 
 
 def verify_cycles(max_n: int = 40, jobs: int = 1) -> VerifyOutcome:
-    return _gather("cycles", _check_cycle_pg_star, range(3, max_n + 1), jobs)
+    items = [("cycle", n) for n in range(3, max_n + 1)]
+    return _gather("cycles", _check_chain, items, jobs)
 
 
 def verify_paths(max_n: int = 40, jobs: int = 1) -> VerifyOutcome:
-    return _gather("paths", _check_path_pg_star, range(0, max_n + 1), jobs)
+    items = [("path", n) for n in range(0, max_n + 1)]
+    return _gather("paths", _check_chain, items, jobs)
 
 
 def verify_sequences(max_n: int = 60, jobs: int = 1) -> VerifyOutcome:
@@ -535,9 +469,8 @@ def verify_deg_via_ord(
     exhaustive_n: int = 6,
     jobs: int = 1,
 ) -> VerifyOutcome:
-    corpus = list(random_graph_corpus(random_count, max_n, seed))
-    corpus.extend(all_graphs_up_to(exhaustive_n))
-    return _gather("deg-via-ord", _check_deg_via_ord, list(enumerate(corpus)), jobs, seed)
+    corpus = _mixed_corpus(random_count, max_n, seed, exhaustive_n)
+    return _gather("deg-via-ord", _check_deg_via_ord, corpus, jobs, seed)
 
 
 def verify_oracle(
@@ -548,9 +481,8 @@ def verify_oracle(
     jobs: int = 1,
 ) -> VerifyOutcome:
     """Engine vs brute force; the backbone correctness sweep."""
-    corpus = list(random_graph_corpus(random_count, max_n, seed))
-    corpus.extend(all_graphs_up_to(exhaustive_n))
-    return _gather("oracle", _check_oracle, list(enumerate(corpus)), jobs, seed)
+    corpus = _mixed_corpus(random_count, max_n, seed, exhaustive_n)
+    return _gather("oracle", _check_oracle, corpus, jobs, seed)
 
 
 # Every sweep ``pgstar verify`` runs, by id.  The CLI forwards only the options

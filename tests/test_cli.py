@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import pgstar
 from pgstar import cli
 from pgstar.cli import main
 from pgstar.verification import SWEEPS
@@ -232,6 +234,14 @@ def test_suspend_requires_a_set(capsys):
     assert "--set" in err or "--full" in err
 
 
+@pytest.mark.parametrize("attach", [["--set", "1"], ["--full"]])
+def test_suspend_without_a_base_exits_2(attach, capsys):
+    code, out, err = run_cli(["suspend", *attach], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: suspend needs --input or --family\n"
+
+
 def test_suspend_empty_set_exits_2(capsys):
     code, _, _ = run_cli(
         ["suspend", "--family", "cycle", "--n", "5", "--set", ""], capsys
@@ -375,10 +385,13 @@ def test_jobs_env_var_is_honored(monkeypatch, capsys):
 def test_console_entry_point_subprocess(tmp_path):
     path = tmp_path / "c3.txt"
     path.write_text("3 3\n1 2\n2 3\n1 3\n")
+    # run the same pgstar package this test imported, installed or not
+    package_root = Path(pgstar.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "pgstar", "compute", str(path), "--output", "json"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["alpha"] == 1

@@ -1,7 +1,7 @@
 import pytest
 
 from pgstar import families
-from pgstar.analysis import analyze
+from pgstar.analysis import analyze, report_to_dict
 from pgstar.families import (
     CWCounts,
     CycleSuspensionParams,
@@ -296,3 +296,26 @@ def test_e_zero_detection_equals_canonical_set():
         for members in path_graph(n).maximal_independent_sets():
             params = path_mis_susp_params(n, members)
             assert (params.e == 0) == (members == canonical)
+
+
+# -- predicted report fields ---------------------------------------------------------
+
+
+def test_predictions_are_keyed_like_the_report():
+    # a misspelled key would be skipped by the comparison and never checked
+    report_keys = set(report_to_dict(0, analyze(path_graph(0)))) | {"case", "a_invariant_zero"}
+    predictions = [
+        families.predict_chain("path", 9),
+        families.predict_chain("cycle", 17),
+        families.predict_multipartite((2, 3)),
+        families.predict_cameron_walker(CameronWalkerSpec(1, 1, [(1, 1)], [1], [1])),
+        families.predict_cone("path", 4),
+        families.predict_cone("cycle", 12),
+        families.predict_mis_suspension("path", 5, frozenset({2, 4})),
+        families.predict_mis_suspension("path", 7, frozenset({2, 5, 7})),
+        families.predict_mis_suspension("cycle", 3, frozenset({1})),
+        families.predict_mis_suspension("cycle", 5, frozenset({1, 3})),
+        *(families.predict_vc_suspension(s, 3, pg, -1) for s in range(4) for pg in (True, False)),
+    ]
+    for predicted in predictions:
+        assert set(predicted) <= report_keys, predicted

@@ -41,6 +41,18 @@ def test_mismatches_are_reported(monkeypatch):
     assert all(isinstance(m, Mismatch) for m in out.mismatches)
 
 
+def test_vc_suspension_checks_the_library_case_split(monkeypatch):
+    # a wrong case for |S| = alpha - 1 must show up in the sweep
+    split = families.vc_suspension_prediction
+
+    def sabotaged(n_s, alpha):
+        return families.NEVER_PG_STAR if n_s == alpha - 1 >= 1 else split(n_s, alpha)
+
+    monkeypatch.setattr(families, "vc_suspension_prediction", sabotaged)
+    out = verification.verify_vc_suspension(count=25, max_n=7, seed=5)
+    assert not out.passed
+
+
 def test_outcome_to_dict():
     out = VerifyOutcome("demo", 3, (Mismatch("i", "1", "2"),), seed=9)
     d = out.to_dict()
