@@ -56,9 +56,10 @@ def h_polynomial_by_expansion(p: IntPolynomial, alpha: int) -> IntPolynomial:
     return total
 
 
-def top_alpha_coefficient(p: IntPolynomial, alpha: int) -> int:
-    """h_alpha without building the transform: (-1)^alpha * p(-1)."""
-    return (-1) ** alpha * p(-1)
+def top_alpha_coefficient(p_minus_one: int, alpha: int) -> int:
+    """h_alpha without building the transform: (-1)^alpha * p(-1), given
+    p(-1)."""
+    return (-1) ** alpha * p_minus_one
 
 
 def a_invariant(h_poly: IntPolynomial, alpha: int) -> int:
@@ -102,7 +103,7 @@ def analyze(g: Graph) -> AnalysisReport:
         multiplicity=profile.multiplicity,
         a_invariant=a,
         h_degree=h.degree,
-        h_top=top_alpha_coefficient(p, alpha),
+        h_top=top_alpha_coefficient(profile.value, alpha),
         pseudo_gorenstein=pg,
         pseudo_gorenstein_star=pg and a == 0,
     )

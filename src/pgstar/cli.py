@@ -8,8 +8,8 @@ applies) and ``verify`` (run a named verification sweep).  ``family``,
 ``families.predict_*`` functions and compare them the same way.
 
 Exit codes: 0 success / sweep passed, 1 sweep mismatch, 2 usage or parse
-error, 3 enumeration cap exceeded, 4 internal error.  JSON output renders
-potentially large integers as decimal strings.
+error, 3 size or enumeration limit exceeded, 4 internal error.  JSON
+output renders potentially large integers as decimal strings.
 """
 
 from __future__ import annotations
@@ -216,7 +216,11 @@ def _suspension_prediction(args, g: Graph, members: frozenset[int], roles) -> di
         if members == frozenset(g.vertices):
             return families.predict_cone(base_family, args.n)
         if "maximal-independent" in roles:
-            return families.predict_mis_suspension(base_family, args.n, members)
+            if base_family == "path":
+                params = families.path_mis_susp_params(args.n, members)
+            else:
+                params = families.cycle_mis_susp_params(args.n, members)
+            return families.predict_mis_suspension(params)
     if "vertex-cover" in roles:
         base = analyze(g)
         return families.predict_vc_suspension(

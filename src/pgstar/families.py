@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graphs import CameronWalkerSpec, cycle_graph, path_graph
+from .graphs import CameronWalkerSpec
 from .polynomials import IntPolynomial
 
 # predictions for suspensions over vertex covers, keyed on |S| = n - |C|
@@ -272,15 +272,17 @@ def path_mis_susp_params(n: int, members: frozenset[int]) -> PathSuspensionParam
     """Derive the gap statistics of a maximal independent set of a path."""
     if n < 1:
         raise ValueError("path must be nonempty")
-    g = path_graph(n)
-    if not g.is_maximal_independent(members):
-        raise ValueError(f"{sorted(members)} is not maximal independent in the {n}-path")
     picks = sorted(members)
-    ell = sum(1 for a, b in zip(picks, picks[1:]) if b - a == 3)
+    gaps = [b - a for a, b in zip(picks, picks[1:])]
+    # independent and maximal: members 2 or 3 apart (non-adjacent, and
+    # nothing between them undominated), at most one vertex out at either end
+    if not (picks and picks[0] in (1, 2) and picks[-1] in (n - 1, n)
+            and all(d in (2, 3) for d in gaps)):
+        raise ValueError(f"{picks} is not maximal independent in the {n}-path")
     return PathSuspensionParams(
         n=n,
         c=len(picks),
-        ell=ell,
+        ell=gaps.count(3),
         delta0=0 if picks[0] == 1 else 1,
         delta_t=0 if picks[-1] == n else 1,
     )
@@ -323,10 +325,12 @@ def path_mis_susp_classify(params: PathSuspensionParams) -> PathSuspensionOutcom
 
 def cycle_mis_susp_params(n: int, members: frozenset[int]) -> CycleSuspensionParams:
     """Size statistics of a maximal independent set of a cycle."""
-    g = cycle_graph(n)
-    if not g.is_maximal_independent(members):
-        raise ValueError(f"{sorted(members)} is not maximal independent in the {n}-cycle")
-    return CycleSuspensionParams(n=n, c=len(members))
+    picks = sorted(members)
+    # members 2 or 3 apart as on a path, the last gap wrapping around
+    gaps = [b - a for a, b in zip(picks, picks[1:] + [p + n for p in picks[:1]])]
+    if not (picks and 1 <= picks[0] and picks[-1] <= n and all(d in (2, 3) for d in gaps)):
+        raise ValueError(f"{picks} is not maximal independent in the {n}-cycle")
+    return CycleSuspensionParams(n=n, c=len(picks))
 
 
 # -- predicted report fields, one function per classification ------------
@@ -367,12 +371,12 @@ def predict_cone(kind: str, n: int) -> dict:
     return {"pseudo_gorenstein_star": full_susp_cycle_is_pg_star(n)}
 
 
-def predict_mis_suspension(kind: str, n: int, members: frozenset[int]) -> dict:
-    """The suspension of the path or cycle on n vertices over a maximal
-    independent set; the triangle (h = 1 + 2t - t^2) is the one exception
-    to the cycle trichotomy."""
-    if kind == "path":
-        outcome = path_mis_susp_classify(path_mis_susp_params(n, members))
+def predict_mis_suspension(params: PathSuspensionParams | CycleSuspensionParams) -> dict:
+    """The suspension of a path or cycle over a maximal independent set, given
+    by its ``path_mis_susp_params`` or ``cycle_mis_susp_params``; the triangle
+    (h = 1 + 2t - t^2) is the one exception to the cycle trichotomy."""
+    if isinstance(params, PathSuspensionParams):
+        outcome = path_mis_susp_classify(params)
         predicted = {
             "a_invariant_zero": outcome.a_zero,
             "pseudo_gorenstein_star": outcome.pg_star,
@@ -380,9 +384,8 @@ def predict_mis_suspension(kind: str, n: int, members: frozenset[int]) -> dict:
         if outcome.top_coeff is not None:
             predicted["h_top"] = str(outcome.top_coeff)
         return predicted
-    if n == 3:
+    if params.n == 3:
         return {"h_top": "-1", "pseudo_gorenstein_star": False}
-    params = cycle_mis_susp_params(n, members)
     return {
         "h_top": str(cycle_mis_susp_top_coeff(params)),
         "pseudo_gorenstein_star": cycle_mis_susp_is_pg_star(params),

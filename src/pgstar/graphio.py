@@ -2,16 +2,20 @@
 
 Edge list: ``#`` comment lines and blank lines are ignored; the first
 data line is ``n m`` and is followed by exactly m lines ``u v`` with
-1-based labels.  graph6 is the standard 6-bit encoding, restricted here
-to the single-byte size field (n <= 62).
+1-based labels; a header with more than ``MAX_VERTICES`` vertices is
+refused before anything is built.  graph6 is the standard 6-bit encoding,
+restricted here to the single-byte size field (n <= 62).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .graphs import Graph
+from .graphs import EnumerationLimitError, Graph
 
+# Largest edge-list vertex count.  A Graph holds one adjacency int per
+# vertex before any work starts; P_n and C_n for n = 10^4 stay legal.
+MAX_VERTICES = 20_000
 GRAPH6_MAX_N = 62
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -48,6 +52,10 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"expected header 'n m', got {header!r}", header_no) from None
     if n < 0 or m < 0:
         raise ParseError("vertex and edge counts must be nonnegative", header_no)
+    if n > MAX_VERTICES:
+        raise EnumerationLimitError(
+            f"line {header_no}: {n} vertices exceed the limit of {MAX_VERTICES}"
+        )
 
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()

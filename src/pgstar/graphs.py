@@ -19,7 +19,8 @@ MIS_ENUMERATION_LIMIT = 24
 
 
 class EnumerationLimitError(RuntimeError):
-    """Raised when an exhaustive enumeration exceeds its configured cap."""
+    """Raised when an exhaustive enumeration, or an input graph, exceeds its
+    configured cap."""
 
 
 def _bits(mask: int):

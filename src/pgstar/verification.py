@@ -321,7 +321,7 @@ def _check_cycle_mis_suspension(item: tuple[int, int]) -> list[Mismatch]:
     out = []
     for members in g.maximal_independent_sets(limit):
         name = f"C_{n} susp over {sorted(members)}"
-        predicted = families.predict_mis_suspension("cycle", n, members)
+        predicted = families.predict_mis_suspension(families.cycle_mis_susp_params(n, members))
         predicted["multiplicity"] = 0
         if n == 3:
             predicted["independence_polynomial"] = ["1", "4", "2"]
@@ -339,17 +339,17 @@ def _check_path_mis_suspension(item: tuple[int, int]) -> list[Mismatch]:
     out = []
     for members in g.maximal_independent_sets(limit):
         name = f"P_{n} susp over {sorted(members)}"
-        e = families.path_mis_susp_params(n, members).e
+        params = families.path_mis_susp_params(n, members)
         canonical = frozenset(range(1, n + 1, 3)) if n % 3 == 1 else frozenset()
-        if (e == 0) != (members == canonical):
+        if (params.e == 0) != (members == canonical):
             out.append(
                 Mismatch(
                     f"{name} e=0 detection",
                     f"e==0 iff set == {sorted(canonical)}",
-                    f"e={e}, set={sorted(members)}",
+                    f"e={params.e}, set={sorted(members)}",
                 )
             )
-        predicted = families.predict_mis_suspension("path", n, members)
+        predicted = families.predict_mis_suspension(params)
         gz = suspension(g, members)
         rep = analyze(gz)
         out.extend(prediction_mismatches(name, predicted, gz.n, rep))

@@ -93,7 +93,7 @@ def test_top_alpha_coefficient_avoids_transform():
     for g in random_corpus(40, 10, seed=23):
         p = independence_polynomial(g)
         h = h_polynomial(p, p.degree)
-        assert top_alpha_coefficient(p, p.degree) == h.coefficient(p.degree)
+        assert top_alpha_coefficient(p(-1), p.degree) == h.coefficient(p.degree)
 
 
 # -- analyze -----------------------------------------------------------------------

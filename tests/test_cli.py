@@ -9,6 +9,7 @@ import pytest
 import pgstar
 from pgstar import cli
 from pgstar.cli import main
+from pgstar.graphio import MAX_VERTICES, parse_edge_list
 from pgstar.verification import SWEEPS
 
 C6_TEXT = "6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n"
@@ -349,6 +350,17 @@ def test_verify_with_no_instances_exits_2(argv, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: verify {argv[1]} selects no instances\n"
+
+
+def test_vertex_count_over_the_limit_exits_3(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("# header only\n100000000 0\n")
+    code, out, err = run_cli(["compute", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: line 2: 100000000 vertices exceed the limit of 20000\n"
+    path.write_text(f"{MAX_VERTICES} 0\n")
+    assert parse_edge_list(path.read_text()).n == MAX_VERTICES
 
 
 def test_vc_suspension_enum_cap_exits_3(capsys):

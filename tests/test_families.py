@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pgstar import families
 from pgstar.analysis import analyze, report_to_dict
@@ -290,6 +292,43 @@ def test_path_classify_case_c():
     assert not outcome.pg_star
 
 
+@st.composite
+def chain_vertex_sets(draw):
+    """A path or cycle on up to 30 vertices and a vertex set: random, or a
+    greedy maximal independent set, possibly with one member dropped or
+    one vertex added."""
+    n = draw(st.integers(1, 30))
+    g = draw(st.sampled_from([path_graph(n)] + ([cycle_graph(n)] if n >= 3 else [])))
+    if draw(st.booleans()):
+        return g, frozenset(draw(st.sets(st.integers(1, n))))
+    members = set()
+    for v in draw(st.permutations(range(1, n + 1))):
+        if not g.neighbors(v) & members:
+            members.add(v)
+    change = draw(st.sampled_from(["none", "drop", "add"]))
+    if change == "drop":
+        members.discard(draw(st.sampled_from(sorted(members))))
+    elif change == "add":
+        members.add(draw(st.integers(1, n)))
+    return g, frozenset(members)
+
+
+@settings(max_examples=400)
+@given(chain_vertex_sets())
+@example((path_graph(5), frozenset({3, 5})))  # two vertices out at the left end
+@example((path_graph(8), frozenset({1, 5, 8})))  # a gap of 4
+@example((cycle_graph(8), frozenset({3, 5, 7})))  # a gap of 4 across the wrap
+def test_mis_params_arithmetic_matches_graph(case):
+    g, members = case
+    is_path = g.edge_count() == g.n - 1
+    derive = path_mis_susp_params if is_path else cycle_mis_susp_params
+    if g.is_maximal_independent(members):
+        assert derive(g.n, members).c == len(members)
+    else:
+        with pytest.raises(ValueError, match="is not maximal independent"):
+            derive(g.n, members)
+
+
 def test_e_zero_detection_equals_canonical_set():
     for n in range(2, 16):
         canonical = frozenset(range(1, n + 1, 3)) if n % 3 == 1 else None
@@ -311,10 +350,10 @@ def test_predictions_are_keyed_like_the_report():
         families.predict_cameron_walker(CameronWalkerSpec(1, 1, [(1, 1)], [1], [1])),
         families.predict_cone("path", 4),
         families.predict_cone("cycle", 12),
-        families.predict_mis_suspension("path", 5, frozenset({2, 4})),
-        families.predict_mis_suspension("path", 7, frozenset({2, 5, 7})),
-        families.predict_mis_suspension("cycle", 3, frozenset({1})),
-        families.predict_mis_suspension("cycle", 5, frozenset({1, 3})),
+        families.predict_mis_suspension(path_mis_susp_params(5, frozenset({2, 4}))),
+        families.predict_mis_suspension(path_mis_susp_params(7, frozenset({2, 5, 7}))),
+        families.predict_mis_suspension(cycle_mis_susp_params(3, frozenset({1}))),
+        families.predict_mis_suspension(cycle_mis_susp_params(5, frozenset({1, 3}))),
         *(families.predict_vc_suspension(s, 3, pg, -1) for s in range(4) for pg in (True, False)),
     ]
     for predicted in predictions:

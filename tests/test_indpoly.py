@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pgstar import indpoly
 from pgstar.families import c_value, p_value
 from pgstar.graphs import (
     EnumerationLimitError,
@@ -119,6 +120,74 @@ def chain_unions(draw, max_n: int = 18):
 @given(chain_unions())
 def test_engine_matches_bruteforce_on_chain_unions(g):
     assert independence_polynomial(g) == independence_polynomial_bruteforce(g)
+
+
+def grid(rows: int, cols: int) -> Graph:
+    """The rows x cols grid; 2 x k is the ladder."""
+    def label(r: int, c: int) -> int:
+        return r * cols + c + 1
+
+    edges = [(label(r, c), label(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(label(r, c), label(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, edges)
+
+
+def caterpillar(leaves) -> Graph:
+    """A path of len(leaves) spine vertices, spine vertex i carrying leaves[i] leaves."""
+    spine = len(leaves)
+    edges = [(i, i + 1) for i in range(1, spine)]
+    n = spine
+    for i, k in enumerate(leaves, start=1):
+        edges += [(i, n + j) for j in range(1, k + 1)]
+        n += k
+    return Graph(n, edges)
+
+
+@st.composite
+def solver_cases(draw):
+    """Ladders, caterpillars, grids, chains with chords, suspensions and
+    arbitrary small graphs, relabelled at random so the greedy order and
+    the pivots meet them in every orientation."""
+    kind = draw(st.sampled_from(["ladder", "caterpillar", "grid", "chains", "suspension", "any"]))
+    if kind == "ladder":
+        g = grid(2, draw(st.integers(1, 8)))
+    elif kind == "caterpillar":
+        g = caterpillar(draw(st.lists(st.integers(0, 3), min_size=1, max_size=6)))
+    elif kind == "grid":
+        g = grid(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    elif kind == "chains":
+        g = draw(chain_unions(max_n=16))
+    elif kind == "suspension":
+        base = draw(graphs(min_n=1, max_n=12))
+        g = suspension(base, draw(st.sets(st.integers(1, base.n), min_size=1)))
+    else:
+        g = draw(graphs(max_n=14))
+    perm = draw(st.permutations(range(1, g.n + 1)))
+    return Graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges()])
+
+
+@settings(max_examples=250, deadline=None)
+@given(solver_cases())
+def test_frontier_and_pivot_sides_match_bruteforce(g):
+    want = independence_polynomial_bruteforce(g)
+    assert independence_polynomial(g) == want
+    # -1 sends every subgraph to the pivot side, n every one to the frontier side
+    for width in (-1, g.n):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(indpoly, "FRONTIER_WIDTH", width)
+            assert independence_polynomial(g) == want, width
+
+
+def test_deep_pivots_and_long_caterpillars_finish():
+    # both exceeded Python's recursion limit when every pivot was a call
+    n = 1200
+    assert independence_polynomial(Graph(n, combinations(range(1, n + 1), 2))).coeffs == (1, n)
+    # spine vertex i excluded (a) or included (b); an excluded one's leaf is free
+    a, b = ONE + ONE.shift(1), ONE.shift(1)
+    for _ in range(n - 1):
+        total = a + b
+        a, b = total + total.shift(1), a.shift(1)
+    assert independence_polynomial(caterpillar([1] * n)) == a + b
 
 
 def test_long_path_and_cycle_coefficients():
