@@ -5,11 +5,15 @@ named family member and compare against its closed form), ``suspend``
 (build and analyze a suspension, with predictions where a classification
 applies) and ``verify`` (run a named verification sweep).  ``family``,
 ``suspend`` and the sweeps take their predictions from the same
-``families.predict_*`` functions and compare them the same way.
+``families.predict_*`` functions and compare them the same way.  Only
+``verify`` starts worker processes, so ``--jobs`` and ``PGSTAR_JOBS``
+belong to it alone.
 
 Exit codes: 0 success / sweep passed, 1 sweep mismatch, 2 usage or parse
-error, 3 size or enumeration limit exceeded, 4 internal error.  JSON
-output renders potentially large integers as decimal strings.
+error, 3 size or enumeration limit exceeded, 4 internal error.  A reader
+that closes stdout early (``pgstar compute ... | head``) ends the run
+quietly with 0: the output it wanted was written.  JSON output renders
+potentially large integers as decimal strings.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import families, verification
 from .analysis import AnalysisReport, analyze, report_to_dict
@@ -33,7 +36,7 @@ from .graphs import (
     path_graph,
     suspension,
 )
-from .graphio import ParseError, load_graph
+from .graphio import MAX_VERTICES, ParseError, load_graph
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -44,32 +47,24 @@ EXIT_INTERNAL = 4
 JOBS_ENV_VAR = "PGSTAR_JOBS"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs shared by every subcommand."""
-
-    output: str = "text"
-    jobs: int = 1
-
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError("parallelism degree must be >= 1")
-
-
 def _default_jobs() -> int:
     raw = os.environ.get(JOBS_ENV_VAR, "1")
     try:
-        return max(1, int(raw))
+        jobs = int(raw)
     except ValueError:
         print(f"warning: {JOBS_ENV_VAR}={raw!r} is not an integer; using 1", file=sys.stderr)
         return 1
+    if jobs < 1:
+        print(f"warning: {JOBS_ENV_VAR}={raw!r} is below 1; using 1", file=sys.stderr)
+        return 1
+    return jobs
 
 
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def render_report_text(n: int, rep: AnalysisReport, indent: str = "") -> str:
+def render_report_text(n: int, rep: AnalysisReport) -> str:
     rows = [
         ("n", str(n)),
         ("alpha", str(rep.alpha)),
@@ -84,11 +79,11 @@ def render_report_text(n: int, rep: AnalysisReport, indent: str = "") -> str:
         ("pseudo-Gorenstein*", _yesno(rep.pseudo_gorenstein_star)),
     ]
     width = max(len(k) for k, _ in rows) + 2
-    return "\n".join(f"{indent}{k + ':':<{width}}{v}" for k, v in rows)
+    return "\n".join(f"{k + ':':<{width}}{v}" for k, v in rows)
 
 
-def _emit(payload: dict, text: str, config: RunConfig) -> None:
-    if config.output == "json":
+def _emit(payload: dict, text: str, output: str) -> None:
+    if output == "json":
         print(json.dumps(payload, indent=2))
     else:
         print(text)
@@ -135,6 +130,13 @@ def _cw_spec_from_args(args) -> CameronWalkerSpec:
     )
 
 
+def _check_family_size(n: int) -> None:
+    """A family member obeys the vertex limit of an edge list, checked
+    before anything is built."""
+    if n > MAX_VERTICES:
+        raise EnumerationLimitError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+
+
 def _build_family(args) -> tuple[Graph, dict, dict]:
     """Returns the graph, a JSON-friendly parameter echo and the family's
     closed-form prediction."""
@@ -142,15 +144,18 @@ def _build_family(args) -> tuple[Graph, dict, dict]:
     if name in ("path", "cycle"):
         if args.n is None:
             raise ValueError(f"--n is required for family {name!r}")
+        _check_family_size(args.n)
         g = path_graph(args.n) if name == "path" else cycle_graph(args.n)
         return g, {"n": args.n}, families.predict_chain(name, args.n)
     if name == "multipartite":
         if not args.parts:
             raise ValueError("--parts is required for family 'multipartite'")
         parts = _parse_int_list(args.parts, "--parts")
+        _check_family_size(sum(parts))
         g = complete_multipartite(parts)
         return g, {"parts": parts}, families.predict_multipartite(parts)
     spec = _cw_spec_from_args(args)
+    _check_family_size(spec.total_vertices)
     params = {
         "core_x": spec.core_x,
         "core_y": spec.core_y,
@@ -164,37 +169,41 @@ def _build_family(args) -> tuple[Graph, dict, dict]:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_compute(args, config: RunConfig) -> int:
+def cmd_compute(args) -> int:
     g = load_graph(args.input, args.format)
     rep = analyze(g)
     payload = report_to_dict(g.n, rep)
-    _emit(payload, render_report_text(g.n, rep), config)
+    _emit(payload, render_report_text(g.n, rep), args.output)
     return EXIT_OK
 
 
-def cmd_family(args, config: RunConfig) -> int:
-    g, params, predicted = _build_family(args)
-    rep = analyze(g)
-    computed = report_to_dict(g.n, rep)
-    agreement = not verification.prediction_mismatches("", predicted, g.n, rep)
+def _emit_compared(
+    output: str, fields: dict, header: str, n: int, rep: AnalysisReport, predicted: dict | None
+) -> int:
+    """Emit the report of an n-vertex graph after ``fields`` and ``header``,
+    and, when there is a prediction, the prediction and its agreement."""
+    agreement = None
+    lines = [header, render_report_text(n, rep)]
+    if predicted is not None:
+        agreement = not verification.prediction_mismatches("", predicted, n, rep)
+        lines.append("prediction:")
+        lines.extend(f"  {k}: {v}" for k, v in predicted.items())
+        lines.append(f"agreement: {_yesno(agreement)}")
     payload = {
-        "family": args.family,
-        "parameters": params,
-        "computed": computed,
+        **fields,
+        "computed": report_to_dict(n, rep),
         "predicted": predicted,
         "agreement": agreement,
     }
-    text = "\n".join(
-        [
-            f"family: {args.family} {params}",
-            render_report_text(g.n, rep),
-            "prediction:",
-            *(f"  {k}: {v}" for k, v in predicted.items()),
-            f"agreement: {_yesno(agreement)}",
-        ]
-    )
-    _emit(payload, text, config)
+    _emit(payload, "\n".join(lines), output)
     return EXIT_OK
+
+
+def cmd_family(args) -> int:
+    g, params, predicted = _build_family(args)
+    fields = {"family": args.family, "parameters": params}
+    header = f"family: {args.family} {params}"
+    return _emit_compared(args.output, fields, header, g.n, analyze(g), predicted)
 
 
 def _set_roles(g: Graph, members: frozenset[int]) -> list[str]:
@@ -229,7 +238,7 @@ def _suspension_prediction(args, g: Graph, members: frozenset[int], roles) -> di
     return None
 
 
-def cmd_suspend(args, config: RunConfig) -> int:
+def cmd_suspend(args) -> int:
     if args.input:
         g = load_graph(args.input, args.format)
     elif args.family:
@@ -247,32 +256,13 @@ def cmd_suspend(args, config: RunConfig) -> int:
     roles = _set_roles(g, members)
     h = suspension(g, members)
     rep = analyze(h)
-    computed = report_to_dict(h.n, rep)
     predicted = _suspension_prediction(args, g, members, roles)
-    agreement = None
-    if predicted is not None:
-        agreement = not verification.prediction_mismatches("", predicted, h.n, rep)
-    payload = {
-        "base_n": g.n,
-        "attachment": sorted(members),
-        "roles": roles,
-        "computed": computed,
-        "predicted": predicted,
-        "agreement": agreement,
-    }
-    lines = [
-        f"suspension over {sorted(members)} (roles: {', '.join(roles)})",
-        render_report_text(h.n, rep),
-    ]
-    if predicted is not None:
-        lines.append("prediction:")
-        lines.extend(f"  {k}: {v}" for k, v in predicted.items())
-        lines.append(f"agreement: {_yesno(agreement)}")
-    _emit(payload, "\n".join(lines), config)
-    return EXIT_OK
+    fields = {"base_n": g.n, "attachment": sorted(members), "roles": roles}
+    header = f"suspension over {sorted(members)} (roles: {', '.join(roles)})"
+    return _emit_compared(args.output, fields, header, h.n, rep, predicted)
 
 
-def _run_sweep(args, config: RunConfig) -> verification.VerifyOutcome:
+def _run_sweep(args) -> verification.VerifyOutcome:
     sweep = verification.SWEEPS[args.theorem]
     accepted = inspect.signature(sweep).parameters
     # an option the user did not set is absent from args (SUPPRESS)
@@ -282,15 +272,18 @@ def _run_sweep(args, config: RunConfig) -> verification.VerifyOutcome:
         raise ValueError(f"verify {args.theorem} does not take {', '.join(foreign)}")
     if options.get("mis_limit", 1) < 1:
         raise ValueError("enumeration cap must be >= 1")
-    outcome = sweep(**options, jobs=config.jobs)
+    jobs = args.jobs if hasattr(args, "jobs") else _default_jobs()
+    if jobs < 1:
+        raise ValueError("parallelism degree must be >= 1")
+    outcome = sweep(**options, jobs=jobs)
     if not outcome.instances:
         raise ValueError(f"verify {args.theorem} selects no instances")
     return outcome
 
 
-def cmd_verify(args, config: RunConfig) -> int:
-    outcome = _run_sweep(args, config)
-    if config.output == "json":
+def cmd_verify(args) -> int:
+    outcome = _run_sweep(args)
+    if args.output == "json":
         print(json.dumps(outcome.to_dict(), indent=2))
     else:
         status = "PASS" if outcome.passed else "FAIL"
@@ -305,16 +298,6 @@ def cmd_verify(args, config: RunConfig) -> int:
 
 
 # -- argument parsing ---------------------------------------------------------
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", choices=("text", "json"), default="text")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help=f"worker processes (default: ${JOBS_ENV_VAR} or 1)",
-    )
 
 
 def _add_family_options(p: argparse.ArgumentParser) -> None:
@@ -334,34 +317,31 @@ def build_parser() -> argparse.ArgumentParser:
         "pseudo-Gorenstein* classification of finite simple graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    formats = ("auto", "edge-list", "graph6")
+    family_names = ("path", "cycle", "multipartite", "cameron-walker")
 
     p = sub.add_parser("compute", help="analyze a graph from a file")
     p.add_argument("input")
-    p.add_argument("--format", choices=("auto", "edge-list", "graph6"), default="auto")
-    _add_common(p)
+    p.add_argument("--format", choices=formats, default="auto")
     p.set_defaults(handler=cmd_compute)
 
     p = sub.add_parser("family", help="build a family member and check its closed form")
-    p.add_argument(
-        "family", choices=("path", "cycle", "multipartite", "cameron-walker")
-    )
+    p.add_argument("family", choices=family_names)
     _add_family_options(p)
-    _add_common(p)
     p.set_defaults(handler=cmd_family)
 
     p = sub.add_parser("suspend", help="analyze a suspension over an attachment set")
     p.add_argument("--input", default=None, help="base graph file")
-    p.add_argument("--format", choices=("auto", "edge-list", "graph6"), default="auto")
+    p.add_argument("--format", choices=formats, default="auto")
     p.add_argument(
         "--family",
-        choices=("path", "cycle", "multipartite", "cameron-walker"),
+        choices=family_names,
         default=None,
         help="build the base graph from a family instead of a file",
     )
     _add_family_options(p)
     p.add_argument("--set", default=None, help="attachment vertices, e.g. 1,3")
     p.add_argument("--full", action="store_true", help="attach to every vertex (cone)")
-    _add_common(p)
     p.set_defaults(handler=cmd_suspend)
 
     p = sub.add_parser(
@@ -382,22 +362,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--enum-cap", dest="mis_limit", metavar="ENUM_CAP", type=int),
         p.add_argument("--seed", type=int),
     ]
-    _add_common(p)
+    p.add_argument("--jobs", type=int, help=f"worker processes (default: ${JOBS_ENV_VAR} or 1)")
     flags = {action.dest: action.option_strings[0] for action in sweep_options}
     p.set_defaults(handler=cmd_verify, sweep_flags=flags)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", choices=("text", "json"), default="text")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            output=args.output,
-            jobs=args.jobs if args.jobs is not None else _default_jobs(),
-        )
-        return args.handler(args, config)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; send the unflushed rest to devnull so
+        # that the interpreter's final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -36,6 +36,11 @@ from .polynomials import IntPolynomial
 
 DEFAULT_SEED = 1729
 DENSITY_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+# bounds of a random Cameron-Walker spec: vertices per core side, leaves
+# per X vertex and triangles per Y vertex
+CW_MAX_SIDE = 3
+CW_MAX_LEAVES = 2
+CW_MAX_TRIANGLES = 2
 
 
 @dataclass(frozen=True)
@@ -149,30 +154,22 @@ def _mixed_corpus(
 
 
 def random_cameron_walker_specs(
-    count: int,
-    max_vertices: int = 16,
-    seed: int = DEFAULT_SEED,
-    max_side: int = 3,
-    max_leaves: int = 2,
-    max_triangles: int = 2,
-    max_core_total: int | None = None,
+    count: int, max_vertices: int = 16, seed: int = DEFAULT_SEED
 ) -> list[CameronWalkerSpec]:
     """Seeded random valid specs (connected cores, rejection-sampled)."""
     rng = random.Random(seed)
     specs = []
     while len(specs) < count:
-        n = rng.randint(1, max_side)
-        m = rng.randint(1, max_side)
-        if max_core_total is not None and n + m > max_core_total:
-            continue
+        n = rng.randint(1, CW_MAX_SIDE)
+        m = rng.randint(1, CW_MAX_SIDE)
         edges = tuple(
             (i, j)
             for i in range(1, n + 1)
             for j in range(1, m + 1)
             if rng.random() < 0.6
         )
-        leaves = tuple(rng.randint(1, max_leaves) for _ in range(n))
-        triangles = tuple(rng.randint(0, max_triangles) for _ in range(m))
+        leaves = tuple(rng.randint(1, CW_MAX_LEAVES) for _ in range(n))
+        triangles = tuple(rng.randint(0, CW_MAX_TRIANGLES) for _ in range(m))
         try:
             spec = CameronWalkerSpec(n, m, edges, leaves, triangles)
         except ValueError:

@@ -13,6 +13,9 @@ from pgstar.graphio import MAX_VERTICES, parse_edge_list
 from pgstar.verification import SWEEPS
 
 C6_TEXT = "6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n"
+# a child interpreter runs the same pgstar package this module imported,
+# installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(pgstar.__file__).resolve().parents[1])}
 K23_TEXT = "5 6\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n"
 
 
@@ -302,18 +305,25 @@ def test_verify_rejects_options_its_sweep_does_not_take(argv, message, capsys):
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["compute", "graph.txt"],
-        ["family", "cycle", "--n", "6"],
-        ["suspend", "--family", "cycle", "--n", "6", "--full"],
-    ],
-)
+NON_VERIFY_ARGV = [
+    ["compute", "graph.txt"],
+    ["family", "cycle", "--n", "6"],
+    ["suspend", "--family", "cycle", "--n", "6", "--full"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_VERIFY_ARGV)
 @pytest.mark.parametrize("option", ["--seed", "--enum-cap"])
 def test_seed_and_enum_cap_belong_to_verify_only(argv, option):
     with pytest.raises(SystemExit) as exc:
         main(argv + [option, "3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", NON_VERIFY_ARGV)
+def test_jobs_belongs_to_verify_only(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", "2"])
     assert exc.value.code == 2
 
 
@@ -363,6 +373,22 @@ def test_vertex_count_over_the_limit_exits_3(tmp_path, capsys):
     assert parse_edge_list(path.read_text()).n == MAX_VERTICES
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "path", "--n", str(MAX_VERTICES + 1)],
+        ["family", "multipartite", "--parts", f"{MAX_VERTICES},1"],
+        ["family", "cameron-walker", "--core-x", "1", "--core-y", "1",
+         "--core-edges", "1:1", "--leaves", str(MAX_VERTICES - 1)],
+        ["suspend", "--family", "cycle", "--n", str(MAX_VERTICES + 1), "--full"],
+    ],
+)
+def test_family_over_the_vertex_limit_exits_3(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: {MAX_VERTICES + 1} vertices exceed the limit of {MAX_VERTICES}\n"
+
+
 def test_vc_suspension_enum_cap_exits_3(capsys):
     # the seed-0 graph has 25 vertices, one above the default cap
     code, out, err = run_cli(
@@ -394,16 +420,53 @@ def test_jobs_env_var_is_honored(monkeypatch, capsys):
     assert capsys.readouterr().err == "warning: PGSTAR_JOBS='junk' is not an integer; using 1\n"
 
 
+@pytest.mark.parametrize("raw", ["0", "-4"])
+def test_jobs_env_var_below_1_warns(raw, monkeypatch, capsys):
+    monkeypatch.setenv("PGSTAR_JOBS", raw)
+    code, out, err = run_cli(["verify", "cycles", "--max-n", "5"], capsys)
+    assert (code, out) == (0, "theorem cycles: 3 instances, 0 mismatches -> PASS\n")
+    assert err == f"warning: PGSTAR_JOBS='{raw}' is below 1; using 1\n"
+
+
+def test_jobs_option_below_1_exits_2(capsys):
+    code, out, err = run_cli(["verify", "cycles", "--max-n", "5", "--jobs", "0"], capsys)
+    assert (code, out, err) == (2, "", "error: parallelism degree must be >= 1\n")
+
+
+def test_only_verify_reads_the_jobs_env_var(monkeypatch, c6_file, capsys):
+    monkeypatch.setenv("PGSTAR_JOBS", "junk")
+    for argv in (["compute", c6_file], ["family", "cycle", "--n", "6"]):
+        code, _, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+
+
 def test_console_entry_point_subprocess(tmp_path):
     path = tmp_path / "c3.txt"
     path.write_text("3 3\n1 2\n2 3\n1 3\n")
-    # run the same pgstar package this test imported, installed or not
-    package_root = Path(pgstar.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "pgstar", "compute", str(path), "--output", "json"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(package_root)},
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["alpha"] == 1
+
+
+def test_closed_stdout_exits_0_quietly(tmp_path):
+    # P_3000 as JSON is about 1.1 MB, far more than a pipe buffers
+    n = 3000
+    path = tmp_path / "p3000.txt"
+    path.write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(1, n)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pgstar", "compute", str(path), "--output", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=CHILD_ENV,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""

@@ -342,9 +342,7 @@ def test_cw_alpha_formula_small_specs():
     """alpha(G) = F + T + m0 across random small specs."""
     from pgstar.verification import random_cameron_walker_specs
 
-    specs = random_cameron_walker_specs(
-        60, max_vertices=14, seed=11, max_core_total=5
-    )
+    specs = random_cameron_walker_specs(60, max_vertices=14, seed=11)
     assert len(specs) >= 50
     for spec in specs:
         g = cameron_walker(spec)
