@@ -105,10 +105,11 @@ def _parse_core_edges(raw: str) -> list[tuple[int, int]]:
         tok = tok.strip()
         if not tok:
             continue
-        parts = tok.split(":")
-        if len(parts) != 2:
-            raise ValueError(f"core edge {tok!r} must look like 'i:j'")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            i, j = (int(part) for part in tok.split(":"))
+        except ValueError:
+            raise ValueError(f"core edge {tok!r} must look like 'i:j'") from None
+        edges.append((i, j))
     return edges
 
 

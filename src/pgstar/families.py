@@ -1,9 +1,10 @@
-"""Closed forms and classification predicates for the structured families.
+"""Closed forms and one classification function per structured family.
 
 Everything here is pure arithmetic on the family parameters (period-6
 and period-12 tables, parity conditions, gap statistics); no polynomial
-is ever computed.  The ``predict_*`` functions turn a family's parameters
-into the report fields its classification predicts; ``pgstar family``,
+is ever computed.  Each ``predict_*`` function states one classification
+of the paper in its docstring and turns a family's parameters into the
+report fields that classification predicts; ``pgstar family``,
 ``pgstar suspend`` and the verification sweeps all compare those against
 the exact computation, which is the whole point of keeping the two
 routes independent.
@@ -12,7 +13,7 @@ routes independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .graphs import CameronWalkerSpec
 from .polynomials import IntPolynomial
@@ -26,6 +27,11 @@ _P_TABLE = (1, 0, -1, -1, 0, 1)
 _C_TABLE = (2, 1, -1, -2, -1, 1)
 
 
+def _check_cycle(n: int) -> None:
+    if n < 3:
+        raise ValueError("cycles need at least 3 vertices")
+
+
 def p_value(n: int) -> int:
     """P at -1 for the path on n vertices (period 6)."""
     if n < 0:
@@ -35,15 +41,13 @@ def p_value(n: int) -> int:
 
 def c_value(n: int) -> int:
     """P at -1 for the cycle on n vertices (period 6, n >= 3)."""
-    if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
+    _check_cycle(n)
     return _C_TABLE[n % 6]
 
 
 def a_value(n: int) -> int:
     """(-1)^floor(n/2) * c_value(n), periodic mod 12."""
-    if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
+    _check_cycle(n)
     r = n % 12
     if r in (1, 2, 5, 10):
         return 1
@@ -66,20 +70,6 @@ def b_value(n: int) -> int:
     return 0  # r in (1, 4, 7, 10)
 
 
-def cycle_is_pg_star(n: int) -> bool:
-    """Cycles are pseudo-Gorenstein* exactly when n = 1,2,5,10 mod 12."""
-    if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
-    return n % 12 in (1, 2, 5, 10)
-
-
-def path_is_pg_star(n: int) -> bool:
-    """Paths are pseudo-Gorenstein* exactly when n = 0,2,9,11 mod 12."""
-    if n < 0:
-        raise ValueError("path length must be nonnegative")
-    return n % 12 in (0, 2, 9, 11)
-
-
 def multipartite_closed_poly(parts: Sequence[int]) -> IntPolynomial:
     """sum_i (1+x)^(m_i) - (k-1): every independent set lives in one part."""
     if not parts:
@@ -90,88 +80,6 @@ def multipartite_closed_poly(parts: Sequence[int]) -> IntPolynomial:
     for m in parts:
         total = total + IntPolynomial.binomial(m)
     return total
-
-
-def multipartite_is_pg_star(parts: Sequence[int]) -> bool:
-    """True iff the graph is complete bipartite and its larger part is odd."""
-    if not parts:
-        raise ValueError("need at least one part")
-    if any(m < 1 for m in parts):
-        raise ValueError("every part must have at least one vertex")
-    return len(parts) == 2 and max(parts) % 2 == 1
-
-
-@dataclass(frozen=True)
-class CWCounts:
-    """Aggregate Cameron-Walker statistics: F leaves, T triangles, m0
-    triangle-free core Y vertices."""
-
-    n: int
-    m: int
-    F: int
-    T: int
-    m0: int
-
-
-def cw_counts(spec: CameronWalkerSpec) -> CWCounts:
-    return CWCounts(
-        n=spec.core_x,
-        m=spec.core_y,
-        F=sum(spec.leaves),
-        T=sum(spec.triangles),
-        m0=sum(1 for t in spec.triangles if t == 0),
-    )
-
-
-def cw_minus_one(counts: CWCounts) -> int:
-    """P(-1) = (-1)^(n+T): only the all-of-X core set survives at -1."""
-    return -1 if (counts.n + counts.T) % 2 else 1
-
-
-def cw_alpha(counts: CWCounts) -> int:
-    """Independence number F + T + m0."""
-    return counts.F + counts.T + counts.m0
-
-
-def cw_is_pg_star(counts: CWCounts) -> bool:
-    """True iff n + F + m0 is even."""
-    return (counts.n + counts.F + counts.m0) % 2 == 0
-
-
-def vc_suspension_prediction(n_s: int, alpha: int) -> str:
-    """Case label for suspending over a vertex cover C with |S| = |V - C|.
-
-    PRESERVED (1 <= |S| <= alpha-1): the suspension is pseudo-Gorenstein*
-    iff the base is.  NEVER_PG_STAR (|S| = alpha): a pseudo-Gorenstein*
-    base never stays pseudo-Gorenstein*; its suspension picks up leading
-    h-coefficient -1 in degree alpha+1.  FULL_SUSPENSION_CASE (|S| = 0):
-    no general rule; P at -1 merely drops by 1.
-    """
-    if n_s < 0 or n_s > alpha:
-        raise ValueError(f"|S| = {n_s} outside 0..alpha = {alpha}")
-    if n_s == 0:
-        return FULL_SUSPENSION_CASE
-    if n_s == alpha:
-        return NEVER_PG_STAR
-    return PRESERVED
-
-
-def full_susp_cycle_is_pg_star(n: int) -> bool:
-    """The cone over a cycle is pseudo-Gorenstein* iff n = 0 mod 12."""
-    if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
-    return n % 12 == 0
-
-
-def full_susp_path_is_pg_star(n: int) -> bool:
-    """The cone over a path is pseudo-Gorenstein* iff n = 1,10 mod 12."""
-    if n < 1:
-        raise ValueError("path must be nonempty")
-    return n % 12 in (1, 10)
-
-
-def _sign(v: int) -> int:
-    return (v > 0) - (v < 0)
 
 
 @dataclass(frozen=True)
@@ -186,8 +94,7 @@ class CycleSuspensionParams:
     c: int
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("cycles need at least 3 vertices")
+        _check_cycle(self.n)
         lo = -(-self.n // 3)
         hi = self.n // 2
         if not lo <= self.c <= hi:
@@ -196,42 +103,6 @@ class CycleSuspensionParams:
     @property
     def ell(self) -> int:
         return self.n - 2 * self.c
-
-
-def cycle_mis_susp_top_coeff(params: CycleSuspensionParams) -> int:
-    """Top h-coefficient of the suspension over a maximal independent set.
-
-    Trichotomy on c: -a_n when c equals the independence number,
-    sign(a_n) when c is the minimum ceil(n/3) (and below the maximum),
-    a_n strictly in between.  n = 3 is exceptional (h = 1 + 2t - t^2)
-    and is rejected here.
-    """
-    n, c = params.n, params.c
-    if n == 3:
-        raise ValueError("n = 3 is the exceptional case; its h is 1 + 2t - t^2")
-    alpha = n // 2
-    an = a_value(n)
-    if c == alpha:
-        return -an
-    if c == -(-n // 3):
-        return _sign(an)
-    return an
-
-
-def cycle_mis_susp_is_pg_star(params: CycleSuspensionParams) -> bool:
-    """Pseudo-Gorenstein* test for suspensions of cycles over maximal
-    independent sets (n >= 4); every such suspension has a-invariant 0."""
-    n, c = params.n, params.c
-    if n < 4:
-        raise ValueError("classification requires n >= 4")
-    r = n % 12
-    if r in (0, 3):
-        return c == -(-n // 3)
-    if r in (4, 7, 8, 11):
-        return c == n // 2
-    if r in (1, 2, 5, 10):
-        return c != n // 2
-    return False  # r in (6, 9)
 
 
 @dataclass(frozen=True)
@@ -288,41 +159,6 @@ def path_mis_susp_params(n: int, members: frozenset[int]) -> PathSuspensionParam
     )
 
 
-@dataclass(frozen=True)
-class PathSuspensionOutcome:
-    """Predicted profile of a path suspension over a maximal independent set.
-
-    ``top_coeff`` is the coefficient in degree alpha of the suspension
-    and is absent when the a-invariant is negative.
-    """
-
-    a_zero: bool
-    top_coeff: Optional[int]
-    pg_star: bool
-
-
-def path_mis_susp_classify(params: PathSuspensionParams) -> PathSuspensionOutcome:
-    """Trichotomy on n mod 3 and the isolated-vertex count e.
-
-    n = 0,2 mod 3: a-invariant 0 and top coefficient -b_n or b_n
-    according to whether c + delta exceeds the independence number.
-    n = 3k+1 with e = 0 (the set 1,4,...,n): a-invariant 0 and top
-    coefficient (-1)^(alpha+k+1).  Otherwise the a-invariant is negative
-    and the suspension cannot be pseudo-Gorenstein*.
-    """
-    n = params.n
-    alpha = (n + 1) // 2
-    if n % 3 in (0, 2):
-        bn = b_value(n)
-        top = -bn if params.c + params.delta == alpha + 1 else bn
-        return PathSuspensionOutcome(a_zero=True, top_coeff=top, pg_star=top == 1)
-    if params.e == 0:
-        k = (n - 1) // 3
-        top = (-1) ** (alpha + k + 1)
-        return PathSuspensionOutcome(a_zero=True, top_coeff=top, pg_star=top == 1)
-    return PathSuspensionOutcome(a_zero=False, top_coeff=None, pg_star=False)
-
-
 def cycle_mis_susp_params(n: int, members: frozenset[int]) -> CycleSuspensionParams:
     """Size statistics of a maximal independent set of a cycle."""
     picks = sorted(members)
@@ -341,68 +177,121 @@ def cycle_mis_susp_params(n: int, members: frozenset[int]) -> CycleSuspensionPar
 
 
 def predict_chain(kind: str, n: int) -> dict:
-    """P(-1) and the pseudo-Gorenstein* flag of the path or cycle on n vertices."""
+    """P(-1) and the pseudo-Gorenstein* flag of the path or cycle on n vertices.
+
+    The path P_n is pseudo-Gorenstein* exactly when n = 0, 2, 9, 11 mod 12,
+    and the cycle C_n (n >= 3) exactly when n = 1, 2, 5, 10 mod 12.
+    """
     if kind == "path":
-        return {"p_at_minus_one": str(p_value(n)), "pseudo_gorenstein_star": path_is_pg_star(n)}
-    return {"p_at_minus_one": str(c_value(n)), "pseudo_gorenstein_star": cycle_is_pg_star(n)}
+        value, pg_classes = p_value(n), (0, 2, 9, 11)
+    else:
+        value, pg_classes = c_value(n), (1, 2, 5, 10)
+    return {"p_at_minus_one": str(value), "pseudo_gorenstein_star": n % 12 in pg_classes}
 
 
 def predict_multipartite(parts: Sequence[int]) -> dict:
+    """A complete multipartite graph is pseudo-Gorenstein* exactly when it is
+    complete bipartite and its larger part is odd."""
     return {
         "independence_polynomial": [str(c) for c in multipartite_closed_poly(parts).coeffs],
-        "pseudo_gorenstein_star": multipartite_is_pg_star(parts),
+        "pseudo_gorenstein_star": len(parts) == 2 and max(parts) % 2 == 1,
     }
 
 
 def predict_cameron_walker(spec: CameronWalkerSpec) -> dict:
-    counts = cw_counts(spec)
+    """A Cameron-Walker graph with n core X vertices, F leaves, T pendant
+    triangles and m0 triangle-free core Y vertices has P(-1) = (-1)^(n+T)
+    (only the all-of-X core set survives at -1), independence number
+    F + T + m0 and multiplicity 0.  It is pseudo-Gorenstein* exactly when
+    n + F + m0 is even."""
+    n = spec.core_x
+    leaves = sum(spec.leaves)
+    triangles = sum(spec.triangles)
+    bare = spec.triangles.count(0)
     return {
-        "p_at_minus_one": str(cw_minus_one(counts)),
-        "alpha": cw_alpha(counts),
+        "p_at_minus_one": str(-1 if (n + triangles) % 2 else 1),
+        "alpha": leaves + triangles + bare,
         "multiplicity": 0,
-        "pseudo_gorenstein_star": cw_is_pg_star(counts),
+        "pseudo_gorenstein_star": (n + leaves + bare) % 2 == 0,
     }
 
 
 def predict_cone(kind: str, n: int) -> dict:
-    """The suspension over every vertex of the path or cycle on n vertices."""
+    """The suspension over every vertex of the path or cycle on n vertices.
+
+    The cone over P_n (n >= 1) is pseudo-Gorenstein* exactly when
+    n = 1, 10 mod 12, and the cone over C_n exactly when n = 0 mod 12.
+    """
     if kind == "path":
-        return {"pseudo_gorenstein_star": full_susp_path_is_pg_star(n)}
-    return {"pseudo_gorenstein_star": full_susp_cycle_is_pg_star(n)}
+        if n < 1:
+            raise ValueError("path must be nonempty")
+        return {"pseudo_gorenstein_star": n % 12 in (1, 10)}
+    _check_cycle(n)
+    return {"pseudo_gorenstein_star": n % 12 == 0}
 
 
 def predict_mis_suspension(params: PathSuspensionParams | CycleSuspensionParams) -> dict:
     """The suspension of a path or cycle over a maximal independent set, given
-    by its ``path_mis_susp_params`` or ``cycle_mis_susp_params``; the triangle
-    (h = 1 + 2t - t^2) is the one exception to the cycle trichotomy."""
+    by its ``path_mis_susp_params`` or ``cycle_mis_susp_params``.
+
+    Path P_n, a trichotomy on n mod 3 and the isolated-vertex count e:
+    for n = 0, 2 mod 3 the a-invariant is 0 and the top h-coefficient is
+    -b_n or b_n according to whether c + delta exceeds the independence
+    number alpha; for n = 3k+1 and e = 0 (the set 1, 4, ..., n) the
+    a-invariant is 0 and the top coefficient (-1)^(alpha+k+1); otherwise
+    the a-invariant is negative.
+
+    Cycle C_n, n >= 4, where the a-invariant is always 0: the top
+    coefficient is -a_n when c = floor(n/2), sign(a_n) when c is the
+    minimum ceil(n/3), and a_n strictly in between.  The triangle C_3 is
+    the exception, with h = 1 + 2t - t^2.
+
+    Either suspension is pseudo-Gorenstein* exactly when its a-invariant
+    is 0 and its top coefficient is 1.  For cycles that is when
+    c = ceil(n/3) for n = 0, 3 mod 12, c = floor(n/2) for n = 4, 7, 8, 11
+    mod 12, c < floor(n/2) for n = 1, 2, 5, 10 mod 12, and never for
+    n = 6, 9 mod 12.
+    """
+    n, c = params.n, params.c
     if isinstance(params, PathSuspensionParams):
-        outcome = path_mis_susp_classify(params)
-        predicted = {
-            "a_invariant_zero": outcome.a_zero,
-            "pseudo_gorenstein_star": outcome.pg_star,
-        }
-        if outcome.top_coeff is not None:
-            predicted["h_top"] = str(outcome.top_coeff)
-        return predicted
-    if params.n == 3:
+        alpha = (n + 1) // 2
+        if n % 3 in (0, 2):
+            top = -b_value(n) if c + params.delta == alpha + 1 else b_value(n)
+        elif params.e == 0:
+            top = (-1) ** (alpha + (n - 1) // 3 + 1)
+        else:
+            return {"a_invariant_zero": False, "pseudo_gorenstein_star": False}
+        return {"a_invariant_zero": True, "pseudo_gorenstein_star": top == 1, "h_top": str(top)}
+    if n == 3:
         return {"h_top": "-1", "pseudo_gorenstein_star": False}
-    return {
-        "h_top": str(cycle_mis_susp_top_coeff(params)),
-        "pseudo_gorenstein_star": cycle_mis_susp_is_pg_star(params),
-    }
+    an = a_value(n)
+    if c == n // 2:
+        top = -an
+    elif c == -(-n // 3):
+        top = 1 if an > 0 else -1
+    else:
+        top = an
+    return {"h_top": str(top), "pseudo_gorenstein_star": top == 1}
 
 
 def predict_vc_suspension(n_s: int, alpha: int, pg_star: bool, p_minus_one: int) -> dict:
-    """The suspension over a vertex cover that leaves n_s vertices out, of a
-    base with independence number alpha, pseudo-Gorenstein* flag pg_star and
-    value p_minus_one at -1."""
-    case = vc_suspension_prediction(n_s, alpha)
-    predicted = {"case": case}
-    if case == PRESERVED:
-        predicted["pseudo_gorenstein_star"] = pg_star
-    elif case == NEVER_PG_STAR and pg_star:
-        predicted["pseudo_gorenstein_star"] = False
-        predicted["h_top"] = "-1"
-    elif case == FULL_SUSPENSION_CASE:
-        predicted["p_at_minus_one"] = str(p_minus_one - 1)
-    return predicted
+    """The suspension over a vertex cover C that leaves n_s = |V - C|
+    vertices out, of a base with independence number alpha,
+    pseudo-Gorenstein* flag pg_star and value p_minus_one at -1.
+
+    FULL_SUSPENSION_CASE (n_s = 0, the cone): no general rule; P at -1
+    merely drops by 1.  PRESERVED (1 <= n_s <= alpha-1): the suspension is
+    pseudo-Gorenstein* exactly when the base is.  NEVER_PG_STAR
+    (n_s = alpha): a pseudo-Gorenstein* base never stays
+    pseudo-Gorenstein*; its suspension picks up leading h-coefficient -1
+    in degree alpha+1.
+    """
+    if not 0 <= n_s <= alpha:
+        raise ValueError(f"|S| = {n_s} outside 0..alpha = {alpha}")
+    if n_s == 0:
+        return {"case": FULL_SUSPENSION_CASE, "p_at_minus_one": str(p_minus_one - 1)}
+    if n_s < alpha:
+        return {"case": PRESERVED, "pseudo_gorenstein_star": pg_star}
+    if pg_star:
+        return {"case": NEVER_PG_STAR, "pseudo_gorenstein_star": False, "h_top": "-1"}
+    return {"case": NEVER_PG_STAR}

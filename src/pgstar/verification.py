@@ -124,6 +124,8 @@ def random_graph(rng: random.Random, n: int, density: float) -> Graph:
 
 def random_graph_corpus(count: int, max_n: int, seed: int) -> list[Graph]:
     """Seeded corpus with sizes up to max_n and a swept edge density."""
+    if count > 0 and max_n < 1:
+        raise ValueError(f"random graphs need at least 1 vertex, max n is {max_n}")
     rng = random.Random(seed)
     out = []
     for i in range(count):
@@ -157,6 +159,11 @@ def random_cameron_walker_specs(
     count: int, max_vertices: int = 16, seed: int = DEFAULT_SEED
 ) -> list[CameronWalkerSpec]:
     """Seeded random valid specs (connected cores, rejection-sampled)."""
+    if count > 0 and max_vertices < 3:
+        # one core edge and one leaf make the smallest Cameron-Walker graph
+        raise ValueError(
+            f"Cameron-Walker graphs have at least 3 vertices, max vertices is {max_vertices}"
+        )
     rng = random.Random(seed)
     specs = []
     while len(specs) < count:

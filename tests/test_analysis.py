@@ -11,7 +11,7 @@ from pgstar.analysis import (
     h_polynomial_by_expansion,
     top_alpha_coefficient,
 )
-from pgstar.families import cycle_is_pg_star, path_is_pg_star
+from pgstar.families import predict_chain
 from pgstar.graphs import (
     Graph,
     complete_multipartite,
@@ -186,9 +186,11 @@ def test_deg_h_equals_alpha_minus_multiplicity_corpus():
 
 def test_cycles_pg_star_matches_congruence():
     for n in range(3, 41):
-        assert analyze(cycle_graph(n)).pseudo_gorenstein_star == cycle_is_pg_star(n)
+        predicted = predict_chain("cycle", n)["pseudo_gorenstein_star"]
+        assert analyze(cycle_graph(n)).pseudo_gorenstein_star == predicted
 
 
 def test_paths_pg_star_matches_congruence():
     for n in range(41):
-        assert analyze(path_graph(n)).pseudo_gorenstein_star == path_is_pg_star(n)
+        predicted = predict_chain("path", n)["pseudo_gorenstein_star"]
+        assert analyze(path_graph(n)).pseudo_gorenstein_star == predicted

@@ -275,7 +275,12 @@ def test_verify_json_reports_seed(capsys):
 def test_verify_mismatch_exits_1(monkeypatch, capsys):
     from pgstar import families
 
-    monkeypatch.setattr(families, "cycle_is_pg_star", lambda n: True)
+    predict = families.predict_chain
+    monkeypatch.setattr(
+        families,
+        "predict_chain",
+        lambda kind, n: {**predict(kind, n), "pseudo_gorenstein_star": True},
+    )
     code, out, _ = run_cli(["verify", "cycles", "--max-n", "15"], capsys)
     assert code == 1
     assert "FAIL" in out
@@ -360,6 +365,34 @@ def test_verify_with_no_instances_exits_2(argv, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: verify {argv[1]} selects no instances\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "cameron-walker", "--max-vertices", "2"],
+         "Cameron-Walker graphs have at least 3 vertices, max vertices is 2"),
+        *((["verify", theorem, "--max-n", "0"], "random graphs need at least 1 vertex, max n is 0")
+          for theorem in ("deg-via-ord", "oracle", "vc-suspension")),
+    ],
+)
+def test_verify_with_no_possible_graph_exits_2(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("raw", ["1:x", "1:2:3", "1"])
+def test_family_malformed_core_edge_exits_2(raw, capsys):
+    code, out, err = run_cli(
+        ["family", "cameron-walker", "--core-x", "1", "--core-y", "1",
+         "--core-edges", raw, "--leaves", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: core edge {raw!r} must look like 'i:j'\n"
 
 
 def test_vertex_count_over_the_limit_exits_3(tmp_path, capsys):

@@ -5,29 +5,21 @@ from hypothesis import strategies as st
 from pgstar import families
 from pgstar.analysis import analyze, report_to_dict
 from pgstar.families import (
-    CWCounts,
     CycleSuspensionParams,
     PathSuspensionParams,
     a_value,
     b_value,
     c_value,
-    cw_alpha,
-    cw_counts,
-    cw_is_pg_star,
-    cw_minus_one,
-    cycle_is_pg_star,
-    cycle_mis_susp_is_pg_star,
     cycle_mis_susp_params,
-    cycle_mis_susp_top_coeff,
-    full_susp_cycle_is_pg_star,
-    full_susp_path_is_pg_star,
     multipartite_closed_poly,
-    multipartite_is_pg_star,
     p_value,
-    path_is_pg_star,
-    path_mis_susp_classify,
     path_mis_susp_params,
-    vc_suspension_prediction,
+    predict_cameron_walker,
+    predict_chain,
+    predict_cone,
+    predict_mis_suspension,
+    predict_multipartite,
+    predict_vc_suspension,
 )
 from pgstar.graphs import (
     CameronWalkerSpec,
@@ -88,13 +80,17 @@ def test_signed_values_match_definitions():
         assert b_value(n) == (-1) ** ((n + 1) // 2) * p_value(n)
 
 
+def pg_star(predicted: dict) -> bool:
+    return predicted["pseudo_gorenstein_star"]
+
+
 def test_congruence_predicates():
-    assert cycle_is_pg_star(13)
-    assert not cycle_is_pg_star(12)
-    assert path_is_pg_star(9)
-    assert not path_is_pg_star(3)
+    assert pg_star(predict_chain("cycle", 13))
+    assert not pg_star(predict_chain("cycle", 12))
+    assert pg_star(predict_chain("path", 9))
+    assert not pg_star(predict_chain("path", 3))
     with pytest.raises(ValueError):
-        cycle_is_pg_star(2)
+        predict_chain("cycle", 2)
 
 
 # -- complete multipartite -----------------------------------------------------
@@ -123,19 +119,25 @@ def test_multipartite_value_at_minus_one_is_one_minus_k():
 
 
 def test_multipartite_is_pg_star():
-    assert multipartite_is_pg_star([2, 3])
-    assert not multipartite_is_pg_star([3, 3, 1])
-    assert not multipartite_is_pg_star([4, 2])
-    assert not multipartite_is_pg_star([5])
-    assert multipartite_is_pg_star([1, 1])
+    assert pg_star(predict_multipartite([2, 3]))
+    assert not pg_star(predict_multipartite([3, 3, 1]))
+    assert not pg_star(predict_multipartite([4, 2]))
+    assert not pg_star(predict_multipartite([5]))
+    assert pg_star(predict_multipartite([1, 1]))
 
 
 # -- Cameron-Walker ---------------------------------------------------------------
 
 
 def test_cw_counts():
+    # n = 1 core X vertex, F = 2 leaves, T = 3 triangles, m0 = 1 bare Y vertex
     spec = CameronWalkerSpec(1, 2, [(1, 1), (1, 2)], [2], [0, 3])
-    assert cw_counts(spec) == CWCounts(n=1, m=2, F=2, T=3, m0=1)
+    assert predict_cameron_walker(spec) == {
+        "p_at_minus_one": "1",  # (-1)^(n+T)
+        "alpha": 6,  # F + T + m0
+        "multiplicity": 0,
+        "pseudo_gorenstein_star": True,  # n + F + m0 even
+    }
 
 
 @pytest.mark.parametrize(
@@ -147,10 +149,10 @@ def test_cw_counts():
     ],
 )
 def test_cw_formulas_on_small_specs(spec, value, alpha, pg):
-    counts = cw_counts(spec)
-    assert cw_minus_one(counts) == value
-    assert cw_alpha(counts) == alpha
-    assert cw_is_pg_star(counts) == pg
+    predicted = predict_cameron_walker(spec)
+    assert predicted["p_at_minus_one"] == str(value)
+    assert predicted["alpha"] == alpha
+    assert pg_star(predicted) == pg
     # cross-check against full analysis of the built graph
     rep = analyze(cameron_walker(spec))
     assert rep.p_minus_one == value
@@ -161,35 +163,37 @@ def test_cw_formulas_on_small_specs(spec, value, alpha, pg):
 def test_cw_leaf_only_example_is_p3():
     # single core edge with one leaf: the path on 3 vertices, not
     # pseudo-Gorenstein* (3 mod 12 is outside the path classes)
-    counts = cw_counts(CameronWalkerSpec(1, 1, [(1, 1)], [1], [0]))
-    assert not cw_is_pg_star(counts)
-    assert not path_is_pg_star(3)
+    assert not pg_star(predict_cameron_walker(CameronWalkerSpec(1, 1, [(1, 1)], [1], [0])))
+    assert not pg_star(predict_chain("path", 3))
 
 
 # -- suspension predictions ---------------------------------------------------------
 
 
 def test_vc_suspension_prediction_cases():
-    assert vc_suspension_prediction(1, 3) == families.PRESERVED
-    assert vc_suspension_prediction(2, 3) == families.PRESERVED
-    assert vc_suspension_prediction(3, 3) == families.NEVER_PG_STAR
-    assert vc_suspension_prediction(0, 3) == families.FULL_SUSPENSION_CASE
+    def case(n_s, alpha):
+        return predict_vc_suspension(n_s, alpha, True, 1)["case"]
+
+    assert case(1, 3) == families.PRESERVED
+    assert case(2, 3) == families.PRESERVED
+    assert case(3, 3) == families.NEVER_PG_STAR
+    assert case(0, 3) == families.FULL_SUSPENSION_CASE
     with pytest.raises(ValueError):
-        vc_suspension_prediction(4, 3)
+        case(4, 3)
     with pytest.raises(ValueError):
-        vc_suspension_prediction(-1, 3)
+        case(-1, 3)
 
 
 def test_full_suspension_predicates():
-    assert full_susp_cycle_is_pg_star(12)
-    assert not full_susp_cycle_is_pg_star(6)
-    assert full_susp_path_is_pg_star(10)
-    assert full_susp_path_is_pg_star(1)
-    assert not full_susp_path_is_pg_star(4)
+    assert pg_star(predict_cone("cycle", 12))
+    assert not pg_star(predict_cone("cycle", 6))
+    assert pg_star(predict_cone("path", 10))
+    assert pg_star(predict_cone("path", 1))
+    assert not pg_star(predict_cone("path", 4))
     with pytest.raises(ValueError):
-        full_susp_cycle_is_pg_star(2)
+        predict_cone("cycle", 2)
     with pytest.raises(ValueError):
-        full_susp_path_is_pg_star(0)
+        predict_cone("path", 0)
 
 
 # -- cycle suspensions over maximal independent sets -----------------------------------
@@ -204,16 +208,20 @@ def test_cycle_params_validation():
         CycleSuspensionParams(10, 6)  # above floor(10/2)
 
 
+def cycle_top(n: int, c: int) -> str:
+    return predict_mis_suspension(CycleSuspensionParams(n, c))["h_top"]
+
+
 def test_cycle_top_coeff_trichotomy():
     # c = alpha
-    assert cycle_mis_susp_top_coeff(CycleSuspensionParams(5, 2)) == -1
+    assert cycle_top(5, 2) == "-1"
     # c = ceil(n/3) < alpha
-    assert cycle_mis_susp_top_coeff(CycleSuspensionParams(12, 4)) == 1
-    assert cycle_mis_susp_top_coeff(CycleSuspensionParams(10, 4)) == 1
+    assert cycle_top(12, 4) == "1"
+    assert cycle_top(10, 4) == "1"
     # strictly between
-    assert cycle_mis_susp_top_coeff(CycleSuspensionParams(12, 5)) == 2
-    with pytest.raises(ValueError):
-        cycle_mis_susp_top_coeff(CycleSuspensionParams(3, 1))
+    assert cycle_top(12, 5) == "2"
+    # the triangle is outside the trichotomy: h = 1 + 2t - t^2
+    assert cycle_top(3, 1) == "-1"
 
 
 def test_cycle_top_coeff_worked_example():
@@ -223,16 +231,36 @@ def test_cycle_top_coeff_worked_example():
     rep = analyze(suspension(g, [1, 3]))
     assert rep.ind_poly.coeffs == (1, 6, 8, 2)
     assert rep.h_top == -1
-    assert rep.h_top == cycle_mis_susp_top_coeff(cycle_mis_susp_params(5, frozenset({1, 3})))
+    predicted = predict_mis_suspension(cycle_mis_susp_params(5, frozenset({1, 3})))
+    assert str(rep.h_top) == predicted["h_top"]
 
 
 def test_cycle_mis_pg_star_cases():
-    assert cycle_mis_susp_is_pg_star(CycleSuspensionParams(12, 4))
-    assert cycle_mis_susp_is_pg_star(CycleSuspensionParams(7, 3))
-    assert not cycle_mis_susp_is_pg_star(CycleSuspensionParams(5, 2))
-    assert not cycle_mis_susp_is_pg_star(CycleSuspensionParams(6, 3))
-    with pytest.raises(ValueError):
-        cycle_mis_susp_is_pg_star(CycleSuspensionParams(3, 1))
+    def cycle_pg_star(n, c):
+        return pg_star(predict_mis_suspension(CycleSuspensionParams(n, c)))
+
+    assert cycle_pg_star(12, 4)
+    assert cycle_pg_star(7, 3)
+    assert not cycle_pg_star(5, 2)
+    assert not cycle_pg_star(6, 3)
+    assert not cycle_pg_star(3, 1)
+
+
+def test_cycle_mis_pg_star_mod_12_classes():
+    # the classification by n mod 12 that the top-coefficient trichotomy implies
+    for n in range(4, 61):
+        least, alpha = -(-n // 3), n // 2
+        for c in range(least, alpha + 1):
+            r = n % 12
+            if r in (0, 3):
+                want = c == least
+            elif r in (4, 7, 8, 11):
+                want = c == alpha
+            elif r in (1, 2, 5, 10):
+                want = c < alpha
+            else:
+                want = False
+            assert pg_star(predict_mis_suspension(CycleSuspensionParams(n, c))) == want, (n, c)
 
 
 def test_cycle_mis_params_rejects_non_maximal():
@@ -264,11 +292,16 @@ def test_path_params_consistency_validation():
         PathSuspensionParams(n=4, c=2, ell=0, delta0=0, delta_t=0)
 
 
+def path_prediction(n: int, members: set[int]) -> dict:
+    return predict_mis_suspension(path_mis_susp_params(n, frozenset(members)))
+
+
 def test_path_classify_case_b():
-    outcome = path_mis_susp_classify(path_mis_susp_params(4, frozenset({1, 4})))
-    assert outcome.a_zero
-    assert outcome.top_coeff == 1
-    assert outcome.pg_star
+    assert path_prediction(4, {1, 4}) == {
+        "a_invariant_zero": True,
+        "pseudo_gorenstein_star": True,
+        "h_top": "1",
+    }
     # brute-force cross-check of the worked example
     from pgstar.graphs import suspension
 
@@ -279,17 +312,19 @@ def test_path_classify_case_b():
 
 
 def test_path_classify_case_a():
-    outcome = path_mis_susp_classify(path_mis_susp_params(5, frozenset({1, 3, 5})))
-    assert outcome.a_zero
-    assert outcome.top_coeff == -1
-    assert not outcome.pg_star
+    assert path_prediction(5, {1, 3, 5}) == {
+        "a_invariant_zero": True,
+        "pseudo_gorenstein_star": False,
+        "h_top": "-1",
+    }
 
 
 def test_path_classify_case_c():
-    outcome = path_mis_susp_classify(path_mis_susp_params(7, frozenset({2, 5, 7})))
-    assert not outcome.a_zero
-    assert outcome.top_coeff is None
-    assert not outcome.pg_star
+    # a negative a-invariant: no top coefficient is predicted
+    assert path_prediction(7, {2, 5, 7}) == {
+        "a_invariant_zero": False,
+        "pseudo_gorenstein_star": False,
+    }
 
 
 @st.composite

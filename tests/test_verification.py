@@ -34,7 +34,12 @@ def test_all_sweeps_pass_at_reduced_scale():
 
 def test_mismatches_are_reported(monkeypatch):
     # sabotage one closed form and make sure the sweep notices
-    monkeypatch.setattr(families, "cycle_is_pg_star", lambda n: n % 12 == 7)
+    predict = families.predict_chain
+    monkeypatch.setattr(
+        families,
+        "predict_chain",
+        lambda kind, n: {**predict(kind, n), "pseudo_gorenstein_star": n % 12 == 7},
+    )
     out = verification.verify_cycles(max_n=20)
     assert not out.passed
     assert any("C_5" in m.instance for m in out.mismatches)
@@ -43,12 +48,14 @@ def test_mismatches_are_reported(monkeypatch):
 
 def test_vc_suspension_checks_the_library_case_split(monkeypatch):
     # a wrong case for |S| = alpha - 1 must show up in the sweep
-    split = families.vc_suspension_prediction
+    predict = families.predict_vc_suspension
 
-    def sabotaged(n_s, alpha):
-        return families.NEVER_PG_STAR if n_s == alpha - 1 >= 1 else split(n_s, alpha)
+    def sabotaged(n_s, alpha, pg_star, p_minus_one):
+        if n_s == alpha - 1 >= 1:
+            n_s = alpha  # predict the never-pg-star case instead
+        return predict(n_s, alpha, pg_star, p_minus_one)
 
-    monkeypatch.setattr(families, "vc_suspension_prediction", sabotaged)
+    monkeypatch.setattr(families, "predict_vc_suspension", sabotaged)
     out = verification.verify_vc_suspension(count=25, max_n=7, seed=5)
     assert not out.passed
 
@@ -98,6 +105,18 @@ def test_random_cw_specs_are_valid_and_bounded():
         assert all(f >= 1 for f in spec.leaves)
     # deterministic
     assert specs == random_cameron_walker_specs(40, max_vertices=16, seed=3)
+
+
+def test_random_corpora_reject_sizes_no_graph_has():
+    # the smallest Cameron-Walker graph is one core edge and one leaf
+    with pytest.raises(ValueError, match="at least 3 vertices"):
+        random_cameron_walker_specs(1, max_vertices=2)
+    assert len(random_cameron_walker_specs(5, max_vertices=3)) == 5
+    with pytest.raises(ValueError, match="at least 1 vertex"):
+        random_graph_corpus(1, 0, seed=1)
+    # an empty draw needs no size
+    assert random_cameron_walker_specs(0, max_vertices=2) == []
+    assert random_graph_corpus(0, 0, seed=1) == []
 
 
 def test_enum_cap_propagates():
