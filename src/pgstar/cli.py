@@ -6,8 +6,8 @@ named family member and compare against its closed form), ``suspend``
 applies) and ``verify`` (run a named verification sweep).  ``family``,
 ``suspend`` and the sweeps take their predictions from the same
 ``families.predict_*`` functions and compare them the same way.  Only
-``verify`` starts worker processes, so ``--jobs`` and ``PGSTAR_JOBS``
-belong to it alone.
+``verify`` starts worker processes, so ``--jobs`` belongs to it alone
+and is its only worker setting.
 
 Exit codes: 0 success / sweep passed, 1 sweep mismatch, 2 usage or parse
 error, 3 size or enumeration limit exceeded, 4 internal error.  A reader
@@ -36,29 +36,13 @@ from .graphs import (
     path_graph,
     suspension,
 )
-from .graphio import MAX_VERTICES, ParseError, load_graph
+from .graphio import MAX_EDGES, MAX_VERTICES, ParseError, load_graph
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
 EXIT_INTERNAL = 4
-
-JOBS_ENV_VAR = "PGSTAR_JOBS"
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR, "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        print(f"warning: {JOBS_ENV_VAR}={raw!r} is not an integer; using 1", file=sys.stderr)
-        return 1
-    if jobs < 1:
-        print(f"warning: {JOBS_ENV_VAR}={raw!r} is below 1; using 1", file=sys.stderr)
-        return 1
-    return jobs
-
 
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
@@ -131,11 +115,13 @@ def _cw_spec_from_args(args) -> CameronWalkerSpec:
     )
 
 
-def _check_family_size(n: int) -> None:
-    """A family member obeys the vertex limit of an edge list, checked
-    before anything is built."""
+def _check_family_size(n: int, m: int) -> None:
+    """A family member with n vertices and m edges obeys the limits of an
+    edge list, checked before anything is built."""
     if n > MAX_VERTICES:
         raise EnumerationLimitError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+    if m > MAX_EDGES:
+        raise EnumerationLimitError(f"{m} edges exceed the limit of {MAX_EDGES}")
 
 
 def _build_family(args) -> tuple[Graph, dict, dict]:
@@ -145,18 +131,21 @@ def _build_family(args) -> tuple[Graph, dict, dict]:
     if name in ("path", "cycle"):
         if args.n is None:
             raise ValueError(f"--n is required for family {name!r}")
-        _check_family_size(args.n)
+        _check_family_size(args.n, args.n)  # a cycle has n edges, a path fewer
         g = path_graph(args.n) if name == "path" else cycle_graph(args.n)
         return g, {"n": args.n}, families.predict_chain(name, args.n)
     if name == "multipartite":
         if not args.parts:
             raise ValueError("--parts is required for family 'multipartite'")
         parts = _parse_int_list(args.parts, "--parts")
-        _check_family_size(sum(parts))
+        total = sum(parts)
+        # every pair of vertices in different parts is an edge
+        _check_family_size(total, (total * total - sum(p * p for p in parts)) // 2)
         g = complete_multipartite(parts)
         return g, {"parts": parts}, families.predict_multipartite(parts)
     spec = _cw_spec_from_args(args)
-    _check_family_size(spec.total_vertices)
+    edges = len(spec.core_edges) + sum(spec.leaves) + 3 * sum(spec.triangles)
+    _check_family_size(spec.total_vertices, edges)
     params = {
         "core_x": spec.core_x,
         "core_y": spec.core_y,
@@ -220,13 +209,12 @@ def _set_roles(g: Graph, members: frozenset[int]) -> list[str]:
 
 def _suspension_prediction(args, g: Graph, members: frozenset[int], roles) -> dict | None:
     # family-specific classifications only apply when the base was built
-    # from --family, never to file-loaded graphs
-    base_family = None if args.input else args.family
-    if base_family in ("path", "cycle"):
+    # from --family, never to file-loaded graphs (the parser keeps the two apart)
+    if args.family in ("path", "cycle"):
         if members == frozenset(g.vertices):
-            return families.predict_cone(base_family, args.n)
+            return families.predict_cone(args.family, args.n)
         if "maximal-independent" in roles:
-            if base_family == "path":
+            if args.family == "path":
                 params = families.path_mis_susp_params(args.n, members)
             else:
                 params = families.cycle_mis_susp_params(args.n, members)
@@ -273,10 +261,9 @@ def _run_sweep(args) -> verification.VerifyOutcome:
         raise ValueError(f"verify {args.theorem} does not take {', '.join(foreign)}")
     if options.get("mis_limit", 1) < 1:
         raise ValueError("enumeration cap must be >= 1")
-    jobs = args.jobs if hasattr(args, "jobs") else _default_jobs()
-    if jobs < 1:
+    if args.jobs < 1:
         raise ValueError("parallelism degree must be >= 1")
-    outcome = sweep(**options, jobs=jobs)
+    outcome = sweep(**options, jobs=args.jobs)
     if not outcome.instances:
         raise ValueError(f"verify {args.theorem} selects no instances")
     return outcome
@@ -332,17 +319,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_family)
 
     p = sub.add_parser("suspend", help="analyze a suspension over an attachment set")
-    p.add_argument("--input", default=None, help="base graph file")
-    p.add_argument("--format", choices=formats, default="auto")
-    p.add_argument(
+    base = p.add_mutually_exclusive_group()
+    base.add_argument("--input", default=None, help="base graph file")
+    base.add_argument(
         "--family",
         choices=family_names,
         default=None,
         help="build the base graph from a family instead of a file",
     )
+    p.add_argument("--format", choices=formats, default="auto")
     _add_family_options(p)
-    p.add_argument("--set", default=None, help="attachment vertices, e.g. 1,3")
-    p.add_argument("--full", action="store_true", help="attach to every vertex (cone)")
+    attachment = p.add_mutually_exclusive_group()
+    attachment.add_argument("--set", default=None, help="attachment vertices, e.g. 1,3")
+    attachment.add_argument("--full", action="store_true", help="attach to every vertex (cone)")
     p.set_defaults(handler=cmd_suspend)
 
     p = sub.add_parser(
@@ -363,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--enum-cap", dest="mis_limit", metavar="ENUM_CAP", type=int),
         p.add_argument("--seed", type=int),
     ]
-    p.add_argument("--jobs", type=int, help=f"worker processes (default: ${JOBS_ENV_VAR} or 1)")
+    # an explicit default overrides the parser's SUPPRESS
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
     flags = {action.dest: action.option_strings[0] for action in sweep_options}
     p.set_defaults(handler=cmd_verify, sweep_flags=flags)
 

@@ -2,9 +2,10 @@
 
 Edge list: ``#`` comment lines and blank lines are ignored; the first
 data line is ``n m`` and is followed by exactly m lines ``u v`` with
-1-based labels; a header with more than ``MAX_VERTICES`` vertices is
-refused before anything is built.  graph6 is the standard 6-bit encoding,
-restricted here to the single-byte size field (n <= 62).
+1-based labels; a header with more than ``MAX_VERTICES`` vertices or
+``MAX_EDGES`` edges is refused before anything is built.  graph6 is the
+standard 6-bit encoding, restricted here to the single-byte size field
+(n <= 62).
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from .graphs import EnumerationLimitError, Graph
 # Largest edge-list vertex count.  A Graph holds one adjacency int per
 # vertex before any work starts; P_n and C_n for n = 10^4 stay legal.
 MAX_VERTICES = 20_000
+# Largest edge-list edge count.  Every edge is a tuple in a list before
+# the Graph exists, about 140 bytes each; K_1200 (719 400 edges) stays legal.
+MAX_EDGES = 1_000_000
 GRAPH6_MAX_N = 62
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -55,6 +59,10 @@ def parse_edge_list(text: str) -> Graph:
     if n > MAX_VERTICES:
         raise EnumerationLimitError(
             f"line {header_no}: {n} vertices exceed the limit of {MAX_VERTICES}"
+        )
+    if m > MAX_EDGES:
+        raise EnumerationLimitError(
+            f"line {header_no}: {m} edges exceed the limit of {MAX_EDGES}"
         )
 
     edges: list[tuple[int, int]] = []

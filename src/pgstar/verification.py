@@ -3,8 +3,9 @@
 Each sweep checks one classification result over a finite instance range
 and reports every disagreement.  The predictions come from the
 ``families.predict_*`` functions that ``pgstar family`` and ``suspend``
-print; a sweep adds only what a single report cannot show, such as the
-h-polynomial identities against the base graph.  Instances are
+print.  The closed-form sweeps pair each graph with its prediction and
+share one check; the others add what a single report cannot show, such
+as the h-polynomial identities against the base graph.  Instances are
 independent, so sweeps may fan out to a process pool; results are merged
 in instance order and the output is identical for any parallelism degree.
 """
@@ -117,11 +118,6 @@ def prediction_mismatches(
 # -- corpora ---------------------------------------------------------------
 
 
-def random_graph(rng: random.Random, n: int, density: float) -> Graph:
-    edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < density]
-    return Graph(n, edges)
-
-
 def random_graph_corpus(count: int, max_n: int, seed: int) -> list[Graph]:
     """Seeded corpus with sizes up to max_n and a swept edge density."""
     if count > 0 and max_n < 1:
@@ -130,7 +126,9 @@ def random_graph_corpus(count: int, max_n: int, seed: int) -> list[Graph]:
     out = []
     for i in range(count):
         n = rng.randint(1, max_n)
-        out.append(random_graph(rng, n, DENSITY_GRID[i % len(DENSITY_GRID)]))
+        density = DENSITY_GRID[i % len(DENSITY_GRID)]
+        edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < density]
+        out.append(Graph(n, edges))
     return out
 
 
@@ -156,7 +154,7 @@ def _mixed_corpus(
 
 
 def random_cameron_walker_specs(
-    count: int, max_vertices: int = 16, seed: int = DEFAULT_SEED
+    count: int, max_vertices: int, seed: int
 ) -> list[CameronWalkerSpec]:
     """Seeded random valid specs (connected cores, rejection-sampled)."""
     if count > 0 and max_vertices < 3:
@@ -190,49 +188,31 @@ def random_cameron_walker_specs(
 # -- per-instance checks (top level so the pool can pickle them) -----------
 
 
-def _chain(kind: str, n: int) -> tuple[Graph, str]:
-    """The path or cycle on n vertices and its name."""
-    if kind == "path":
-        return path_graph(n), f"P_{n}"
-    return cycle_graph(n), f"C_{n}"
-
-
-def _check_chain(item: tuple[str, int]) -> list[Mismatch]:
-    kind, n = item
-    g, name = _chain(kind, n)
-    return prediction_mismatches(name, families.predict_chain(kind, n), g.n, analyze(g))
+def _check_prediction(item: tuple[str, Graph, dict]) -> list[Mismatch]:
+    name, g, predicted = item
+    return prediction_mismatches(name, predicted, g.n, analyze(g))
 
 
 def _check_sequence(item: tuple[str, int]) -> list[Mismatch]:
     kind, n = item
-    g, name = _chain(kind, n)
-    value = independence_polynomial(g)(-1)
-    out = []
     if kind == "path":
+        g, name = path_graph(n), f"P_{n}"
         want = families.p_value(n)
-        signed = (-1) ** ((n + 1) // 2) * value
+        sign = (-1) ** ((n + 1) // 2)
         signed_want = families.b_value(n)
     else:
+        g, name = cycle_graph(n), f"C_{n}"
         want = families.c_value(n)
-        signed = (-1) ** (n // 2) * value
+        sign = (-1) ** (n // 2)
         signed_want = families.a_value(n)
+    value = independence_polynomial(g)(-1)
+    signed = sign * value
+    out = []
     if value != want:
         out.append(Mismatch(f"{name} value at -1", str(want), str(value)))
     if signed != signed_want:
         out.append(Mismatch(f"{name} signed value", str(signed_want), str(signed)))
     return out
-
-
-def _check_multipartite(parts: tuple[int, ...]) -> list[Mismatch]:
-    g = complete_multipartite(parts)
-    predicted = families.predict_multipartite(parts)
-    return prediction_mismatches(f"K_{parts}", predicted, g.n, analyze(g))
-
-
-def _check_cameron_walker(spec: CameronWalkerSpec) -> list[Mismatch]:
-    g = cameron_walker(spec)
-    name = f"CW(x={spec.core_x},y={spec.core_y},f={spec.leaves},t={spec.triangles})"
-    return prediction_mismatches(name, families.predict_cameron_walker(spec), g.n, analyze(g))
 
 
 def _independent_sets(g: Graph) -> Iterator[frozenset[int]]:
@@ -292,23 +272,10 @@ def _check_vc_suspension(item: tuple[int, Graph]) -> list[Mismatch]:
     return out
 
 
-def _check_full_suspension(item: tuple[str, int]) -> list[Mismatch]:
-    kind, n = item
-    base, name = _chain(kind, n)
-    gz = suspension(base, base.vertices)
-    predicted = families.predict_cone(kind, n)
-    return prediction_mismatches(f"cone over {name}", predicted, gz.n, analyze(gz))
-
-
 def _structure_mismatch(name: str, h: Graph, c: int, ell: int) -> list[Mismatch]:
     # removing the apex closed neighborhood must leave ell disjoint edges
-    # plus isolated vertices
-    ok = (
-        h.n == c + ell
-        and h.edge_count() == ell
-        and all(h.degree(v) <= 1 for v in h.vertices)
-    )
-    if not ok:
+    # plus isolated vertices; h has c + ell vertices by construction
+    if h.edge_count() != ell or any(h.degree(v) > 1 for v in h.vertices):
         return [
             Mismatch(
                 f"{name} leftover structure",
@@ -396,13 +363,19 @@ def _check_oracle(item: tuple[int, Graph]) -> list[Mismatch]:
 
 
 def verify_cycles(max_n: int = 40, jobs: int = 1) -> VerifyOutcome:
-    items = [("cycle", n) for n in range(3, max_n + 1)]
-    return _gather("cycles", _check_chain, items, jobs)
+    items = [
+        (f"C_{n}", cycle_graph(n), families.predict_chain("cycle", n))
+        for n in range(3, max_n + 1)
+    ]
+    return _gather("cycles", _check_prediction, items, jobs)
 
 
 def verify_paths(max_n: int = 40, jobs: int = 1) -> VerifyOutcome:
-    items = [("path", n) for n in range(0, max_n + 1)]
-    return _gather("paths", _check_chain, items, jobs)
+    items = [
+        (f"P_{n}", path_graph(n), families.predict_chain("path", n))
+        for n in range(0, max_n + 1)
+    ]
+    return _gather("paths", _check_prediction, items, jobs)
 
 
 def verify_sequences(max_n: int = 60, jobs: int = 1) -> VerifyOutcome:
@@ -415,18 +388,25 @@ def verify_multipartite(
     max_parts: int = 4, max_part_size: int = 5, jobs: int = 1
 ) -> VerifyOutcome:
     items = [
-        parts
+        (f"K_{parts}", complete_multipartite(parts), families.predict_multipartite(parts))
         for k in range(1, max_parts + 1)
         for parts in combinations_with_replacement(range(1, max_part_size + 1), k)
     ]
-    return _gather("multipartite", _check_multipartite, items, jobs)
+    return _gather("multipartite", _check_prediction, items, jobs)
 
 
 def verify_cameron_walker(
     count: int = 50, max_vertices: int = 16, seed: int = DEFAULT_SEED, jobs: int = 1
 ) -> VerifyOutcome:
-    specs = random_cameron_walker_specs(count, max_vertices=max_vertices, seed=seed)
-    return _gather("cameron-walker", _check_cameron_walker, specs, jobs, seed)
+    items = [
+        (
+            f"CW(x={spec.core_x},y={spec.core_y},f={spec.leaves},t={spec.triangles})",
+            cameron_walker(spec),
+            families.predict_cameron_walker(spec),
+        )
+        for spec in random_cameron_walker_specs(count, max_vertices, seed)
+    ]
+    return _gather("cameron-walker", _check_prediction, items, jobs, seed)
 
 
 def verify_vc_suspension(
@@ -447,9 +427,24 @@ def verify_vc_suspension(
 
 
 def verify_full_suspension(max_n: int = 36, jobs: int = 1) -> VerifyOutcome:
-    items = [("cycle", n) for n in range(3, max_n + 1)]
-    items += [("path", n) for n in range(1, max_n + 1)]
-    return _gather("full-suspension", _check_full_suspension, items, jobs)
+    # the cone attaches the apex to every vertex 1..n
+    items = [
+        (
+            f"cone over C_{n}",
+            suspension(cycle_graph(n), range(1, n + 1)),
+            families.predict_cone("cycle", n),
+        )
+        for n in range(3, max_n + 1)
+    ]
+    items += [
+        (
+            f"cone over P_{n}",
+            suspension(path_graph(n), range(1, n + 1)),
+            families.predict_cone("path", n),
+        )
+        for n in range(1, max_n + 1)
+    ]
+    return _gather("full-suspension", _check_prediction, items, jobs)
 
 
 def verify_cycle_mis_suspension(

@@ -9,7 +9,7 @@ import pytest
 import pgstar
 from pgstar import cli
 from pgstar.cli import main
-from pgstar.graphio import MAX_VERTICES, parse_edge_list
+from pgstar.graphio import MAX_EDGES, MAX_VERTICES, parse_edge_list
 from pgstar.verification import SWEEPS
 
 C6_TEXT = "6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n"
@@ -246,6 +246,24 @@ def test_suspend_without_a_base_exits_2(attach, capsys):
     assert err == "error: suspend needs --input or --family\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--family", "path", "--n", "4", "--set", "1,4", "--full"],
+         "argument --full: not allowed with argument --set"),
+        (["--input", "base.txt", "--family", "cycle", "--n", "4", "--full"],
+         "argument --family: not allowed with argument --input"),
+    ],
+)
+def test_suspend_contradictory_options_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["suspend", *argv])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert err.endswith(f"error: {message}\n")
+
+
 def test_suspend_empty_set_exits_2(capsys):
     code, _, _ = run_cli(
         ["suspend", "--family", "cycle", "--n", "5", "--set", ""], capsys
@@ -422,6 +440,21 @@ def test_family_over_the_vertex_limit_exits_3(argv, capsys):
     assert err == f"error: {MAX_VERTICES + 1} vertices exceed the limit of {MAX_VERTICES}\n"
 
 
+def test_family_over_the_edge_limit_exits_3(capsys):
+    # K_(1001, 1000) has 1 001 000 edges; the check runs before any is listed
+    code, out, err = run_cli(["family", "multipartite", "--parts", "1001,1000"], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: 1001000 edges exceed the limit of {MAX_EDGES}\n"
+
+
+def test_edge_count_over_the_limit_exits_3(tmp_path, capsys):
+    path = tmp_path / "dense.txt"
+    path.write_text(f"# header only\n{MAX_VERTICES} {MAX_EDGES + 1}\n")
+    code, out, err = run_cli(["suspend", "--input", str(path), "--full"], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: line 2: {MAX_EDGES + 1} edges exceed the limit of {MAX_EDGES}\n"
+
+
 def test_vc_suspension_enum_cap_exits_3(capsys):
     # the seed-0 graph has 25 vertices, one above the default cap
     code, out, err = run_cli(
@@ -435,30 +468,25 @@ def test_vc_suspension_enum_cap_exits_3(capsys):
     )
 
 
-def test_verify_output_independent_of_parallelism(capsys):
-    argv = ["verify", "path-mis-suspension", "--max-n", "10", "--output", "json"]
-    _, out1, _ = run_cli(argv + ["--jobs", "1"], capsys)
-    _, out2, _ = run_cli(argv + ["--jobs", "2"], capsys)
+# the closed-form sweeps ship each graph and its prediction to the pool
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cycles", "--max-n", "12"],
+        ["paths", "--max-n", "12"],
+        ["multipartite", "--max-parts", "3", "--max-part-size", "3"],
+        ["cameron-walker", "--count", "8", "--max-vertices", "10"],
+        ["full-suspension", "--max-n", "10"],
+        ["path-mis-suspension", "--max-n", "10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_verify_output_independent_of_parallelism(argv, capsys):
+    argv = ["verify", *argv, "--output", "json"]
+    code1, out1, _ = run_cli(argv + ["--jobs", "1"], capsys)
+    code2, out2, _ = run_cli(argv + ["--jobs", "2"], capsys)
+    assert (code1, code2) == (0, 0)
     assert out1 == out2
-
-
-def test_jobs_env_var_is_honored(monkeypatch, capsys):
-    monkeypatch.setenv("PGSTAR_JOBS", "3")
-    from pgstar.cli import _default_jobs
-
-    assert _default_jobs() == 3
-    assert capsys.readouterr().err == ""
-    monkeypatch.setenv("PGSTAR_JOBS", "junk")
-    assert _default_jobs() == 1
-    assert capsys.readouterr().err == "warning: PGSTAR_JOBS='junk' is not an integer; using 1\n"
-
-
-@pytest.mark.parametrize("raw", ["0", "-4"])
-def test_jobs_env_var_below_1_warns(raw, monkeypatch, capsys):
-    monkeypatch.setenv("PGSTAR_JOBS", raw)
-    code, out, err = run_cli(["verify", "cycles", "--max-n", "5"], capsys)
-    assert (code, out) == (0, "theorem cycles: 3 instances, 0 mismatches -> PASS\n")
-    assert err == f"warning: PGSTAR_JOBS='{raw}' is below 1; using 1\n"
 
 
 def test_jobs_option_below_1_exits_2(capsys):
@@ -466,9 +494,13 @@ def test_jobs_option_below_1_exits_2(capsys):
     assert (code, out, err) == (2, "", "error: parallelism degree must be >= 1\n")
 
 
-def test_only_verify_reads_the_jobs_env_var(monkeypatch, c6_file, capsys):
+def test_no_command_reads_the_jobs_env_var(monkeypatch, c6_file, capsys):
     monkeypatch.setenv("PGSTAR_JOBS", "junk")
-    for argv in (["compute", c6_file], ["family", "cycle", "--n", "6"]):
+    for argv in (
+        ["compute", c6_file],
+        ["family", "cycle", "--n", "6"],
+        ["verify", "cycles", "--max-n", "5"],
+    ):
         code, _, err = run_cli(argv, capsys)
         assert (code, err) == (0, "")
 
