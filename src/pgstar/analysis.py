@@ -3,10 +3,16 @@ pseudo-Gorenstein predicates.
 
 The h-polynomial of a graph is (1-t)^alpha * P(t/(1-t)) where alpha is
 the independence number; equivalently h_j = sum_i g_i (-1)^(j-i)
-binom(alpha-i, j-i).  A graph is pseudo-Gorenstein when the leading
-coefficient of its (trimmed) h-polynomial is 1, and pseudo-Gorenstein*
-when additionally the a-invariant deg h - alpha vanishes; the latter is
-equivalent to P(-1) = (-1)^alpha.
+binom(alpha-i, j-i).  Reversed, it is a Taylor shift: t^alpha h(1/t) =
+R(t-1), where R is P with its coefficients reversed.  ``h_polynomial``
+computes that shift with subtractions only, and
+``h_polynomial_by_expansion`` expands the first form as an independent
+second route.
+
+A graph is pseudo-Gorenstein when the leading coefficient of its
+(trimmed) h-polynomial is 1, and pseudo-Gorenstein* when additionally
+the a-invariant deg h - alpha vanishes; the latter is equivalent to
+P(-1) = (-1)^alpha.
 """
 
 from __future__ import annotations
@@ -19,23 +25,21 @@ from .polynomials import ONE, IntPolynomial
 
 
 def h_polynomial(p: IntPolynomial, alpha: int) -> IntPolynomial:
-    """Binomial transform of the independence polynomial.
+    """Binomial transform of the independence polynomial, by a Taylor shift.
 
-    ``alpha`` must equal deg p; trailing zero coefficients are trimmed so
-    the degree of the result can drop below alpha.
+    With R the coefficients of p reversed, t^alpha h(1/t) = R(t-1); the
+    shift by -1 is Horner's scheme run in place, alpha^2/2 subtractions
+    and no multiplication.  ``alpha`` must equal deg p; trailing zero
+    coefficients are trimmed so the degree of the result can drop below
+    alpha.
     """
     if alpha != p.degree:
         raise ValueError(f"alpha = {alpha} does not match deg p = {p.degree}")
-    # row i adds g_i (-1)^k binom(alpha - i, k) to h_{i+k}; the binomials
-    # of one row follow from each other by an exact multiplicative step
-    coeffs = [0] * (alpha + 1)
-    for i, g_i in enumerate(p.coeffs):
-        if g_i:
-            m = alpha - i
-            term = g_i
-            for k in range(m + 1):
-                coeffs[i + k] += term
-                term = -term * (m - k) // (k + 1)
+    coeffs = list(reversed(p.coeffs))
+    for i in range(alpha):
+        for j in range(alpha - 1, i - 1, -1):
+            coeffs[j] -= coeffs[j + 1]
+    coeffs.reverse()
     return IntPolynomial(coeffs)
 
 

@@ -8,15 +8,16 @@ share one check; the others add what a single report cannot show, such
 as the h-polynomial identities against the base graph.  Instances are
 independent, so sweeps may fan out to a process pool; results are merged
 in instance order and the output is identical for any parallelism degree.
+With one worker a sweep builds and checks its instances one at a time,
+and the pool is imported only when more than one worker starts.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from typing import Callable, Iterable, Iterator
 
 from . import families
@@ -82,10 +83,16 @@ def _pool_size(jobs: int, items: int, cpus: int) -> int:
 
 
 def _pmap(fn: Callable, items: Iterable, jobs: int) -> list:
-    items = list(items)
-    workers = _pool_size(jobs, len(items), os.cpu_count() or 1)
+    """``fn`` over ``items`` in order; one worker consumes them one at a
+    time, a pool lists them first and is imported only then."""
+    workers = 1
+    if jobs > 1:
+        items = list(items)
+        workers = _pool_size(jobs, len(items), os.cpu_count() or 1)
     if workers == 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(items) // (workers * 4))
         return list(pool.map(fn, items, chunksize=chunk))
@@ -363,18 +370,18 @@ def _check_oracle(item: tuple[int, Graph]) -> list[Mismatch]:
 
 
 def verify_cycles(max_n: int = 40, jobs: int = 1) -> VerifyOutcome:
-    items = [
+    items = (
         (f"C_{n}", cycle_graph(n), families.predict_chain("cycle", n))
         for n in range(3, max_n + 1)
-    ]
+    )
     return _gather("cycles", _check_prediction, items, jobs)
 
 
 def verify_paths(max_n: int = 40, jobs: int = 1) -> VerifyOutcome:
-    items = [
+    items = (
         (f"P_{n}", path_graph(n), families.predict_chain("path", n))
         for n in range(0, max_n + 1)
-    ]
+    )
     return _gather("paths", _check_prediction, items, jobs)
 
 
@@ -387,25 +394,25 @@ def verify_sequences(max_n: int = 60, jobs: int = 1) -> VerifyOutcome:
 def verify_multipartite(
     max_parts: int = 4, max_part_size: int = 5, jobs: int = 1
 ) -> VerifyOutcome:
-    items = [
+    items = (
         (f"K_{parts}", complete_multipartite(parts), families.predict_multipartite(parts))
         for k in range(1, max_parts + 1)
         for parts in combinations_with_replacement(range(1, max_part_size + 1), k)
-    ]
+    )
     return _gather("multipartite", _check_prediction, items, jobs)
 
 
 def verify_cameron_walker(
     count: int = 50, max_vertices: int = 16, seed: int = DEFAULT_SEED, jobs: int = 1
 ) -> VerifyOutcome:
-    items = [
+    items = (
         (
             f"CW(x={spec.core_x},y={spec.core_y},f={spec.leaves},t={spec.triangles})",
             cameron_walker(spec),
             families.predict_cameron_walker(spec),
         )
         for spec in random_cameron_walker_specs(count, max_vertices, seed)
-    ]
+    )
     return _gather("cameron-walker", _check_prediction, items, jobs, seed)
 
 
@@ -428,22 +435,23 @@ def verify_vc_suspension(
 
 def verify_full_suspension(max_n: int = 36, jobs: int = 1) -> VerifyOutcome:
     # the cone attaches the apex to every vertex 1..n
-    items = [
+    cycles = (
         (
             f"cone over C_{n}",
             suspension(cycle_graph(n), range(1, n + 1)),
             families.predict_cone("cycle", n),
         )
         for n in range(3, max_n + 1)
-    ]
-    items += [
+    )
+    paths = (
         (
             f"cone over P_{n}",
             suspension(path_graph(n), range(1, n + 1)),
             families.predict_cone("path", n),
         )
         for n in range(1, max_n + 1)
-    ]
+    )
+    items = chain(cycles, paths)
     return _gather("full-suspension", _check_prediction, items, jobs)
 
 

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pgstar.analysis import (
     a_invariant,
@@ -73,6 +74,27 @@ def test_h_of_constant_one():
 def test_both_h_routes_agree(g):
     p = independence_polynomial(g)
     assert h_polynomial(p, p.degree) == h_polynomial_by_expansion(p, p.degree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers()), st.integers().filter(bool))
+def test_both_h_routes_agree_on_any_integer_coefficients(lower, leading):
+    # not only independence polynomials: zero, negative and huge entries
+    p = IntPolynomial([*lower, leading])
+    assert h_polynomial(p, p.degree) == h_polynomial_by_expansion(p, p.degree)
+
+
+@pytest.mark.parametrize("g", [path_graph(2000), cycle_graph(1500)], ids=["P_2000", "C_1500"])
+def test_h_identities_at_large_alpha(g):
+    # alpha ~ 1000 is out of the expansion route's reach, so check the
+    # identities that pin h down at both ends and at t = 1
+    p = independence_polynomial(g)
+    alpha = p.degree
+    h = h_polynomial(p, alpha)
+    assert h.coefficient(0) == 1
+    assert h.coefficient(1) == g.n - alpha
+    assert h(1) == p.coefficient(alpha)
+    assert h.coefficient(alpha) == (-1) ** alpha * p(-1)
 
 
 def test_h_at_one_counts_maximum_independent_sets():

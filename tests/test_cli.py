@@ -518,6 +518,29 @@ def test_console_entry_point_subprocess(tmp_path):
     assert json.loads(proc.stdout)["alpha"] == 1
 
 
+POOL_PROBE = """
+import json, sys
+from pgstar.cli import build_parser, main
+build_parser()
+codes = [main(["compute", sys.argv[1]]), main(["verify", "cycles", "--max-n", "5"])]
+pool = [m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules]
+print(json.dumps({"codes": codes, "pool": pool}))
+"""
+
+
+def test_single_worker_runs_never_import_the_pool(tmp_path):
+    path = tmp_path / "c6.txt"
+    path.write_text(C6_TEXT)
+    proc = subprocess.run(
+        [sys.executable, "-c", POOL_PROBE, str(path)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": CHILD_ENV["PYTHONPATH"]},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0], "pool": []}
+
+
 def test_closed_stdout_exits_0_quietly(tmp_path):
     # P_3000 as JSON is about 1.1 MB, far more than a pipe buffers
     n = 3000
