@@ -193,9 +193,13 @@ class Graph:
     ) -> list[frozenset[int]]:
         """All maximal independent sets, each once, in sorted order.
 
-        Branches over vertices in label order (in / out of the set),
-        pruning branches where an excluded vertex can no longer acquire a
-        neighbor inside the set.  Capped at ``limit`` vertices.
+        Branches over vertices in label order (in / out of the set).  A
+        vertex is closed by the highest label in its closed neighborhood:
+        once that vertex is decided, no later choice can dominate it.  A
+        branch that excludes a vertex continues only if every vertex it
+        closes is dominated already, so every walk that reaches the end is
+        a maximal set and no dead branch is explored past its closing
+        vertex.  Capped at ``limit`` vertices.
         """
         n = self._n
         if n > limit:
@@ -203,20 +207,22 @@ class Graph:
                 f"maximal-independent-set enumeration capped at n = {limit}"
             )
         adj = self._adj
-        full = (1 << n) - 1
+        closing = [0] * n
+        for v in range(n):
+            closing[(adj[v] | 1 << v).bit_length() - 1] |= 1 << v
         found: list[int] = []
 
         def walk(i: int, chosen: int, dominated: int) -> None:
             if i == n:
-                if dominated == full:
-                    found.append(chosen)
+                found.append(chosen)
                 return
             bit = 1 << i
+            # including i dominates every vertex it closes, since each of
+            # them has i in its closed neighborhood; only excluding i can
+            # leave one undominated
             if not adj[i] & chosen:
                 walk(i + 1, chosen | bit, dominated | bit | adj[i])
-            # excluding i is viable only if i is dominated already or some
-            # later vertex could still dominate it
-            if dominated & bit or adj[i] >> (i + 1):
+            if dominated & closing[i] == closing[i]:
                 walk(i + 1, chosen, dominated)
 
         walk(0, 0, 0)

@@ -8,6 +8,8 @@ share one check; the others add what a single report cannot show, such
 as the h-polynomial identities against the base graph.  Instances are
 independent, so sweeps may fan out to a process pool; results are merged
 in instance order and the output is identical for any parallelism degree.
+Range sweeps list their instances by ascending size, and the pool takes
+them largest first so that the costliest ones never run alone at the end.
 With one worker a sweep builds and checks its instances one at a time,
 and the pool is imported only when more than one worker starts.
 """
@@ -83,8 +85,13 @@ def _pool_size(jobs: int, items: int, cpus: int) -> int:
 
 
 def _pmap(fn: Callable, items: Iterable, jobs: int) -> list:
-    """``fn`` over ``items`` in order; one worker consumes them one at a
-    time, a pool lists them first and is imported only then."""
+    """``fn`` over ``items``, results in item order; one worker consumes
+    them one at a time, a pool lists them first and is imported only then.
+
+    Range sweeps list their instances by ascending size, so the pool takes
+    them in reverse: the costliest chunks start first instead of running
+    alone at the end.
+    """
     workers = 1
     if jobs > 1:
         items = list(items)
@@ -95,7 +102,9 @@ def _pmap(fn: Callable, items: Iterable, jobs: int) -> list:
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(items) // (workers * 4))
-        return list(pool.map(fn, items, chunksize=chunk))
+        results = list(pool.map(fn, reversed(items), chunksize=chunk))
+    results.reverse()
+    return results
 
 
 def _gather(theorem, checks, items, jobs, seed=None) -> VerifyOutcome:

@@ -478,6 +478,9 @@ def test_vc_suspension_enum_cap_exits_3(capsys):
         ["cameron-walker", "--count", "8", "--max-vertices", "10"],
         ["full-suspension", "--max-n", "10"],
         ["path-mis-suspension", "--max-n", "10"],
+        ["cycle-mis-suspension", "--max-n", "12"],
+        ["vc-suspension", "--count", "5", "--max-n", "6"],
+        ["deg-via-ord", "--random", "20", "--exhaustive-n", "4"],
     ],
     ids=lambda argv: argv[0],
 )

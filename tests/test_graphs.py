@@ -234,8 +234,13 @@ def test_mis_c5_all_pairs():
 def test_mis_matches_filter_exhaustively_tiny():
     from pgstar.verification import all_graphs_up_to
 
-    for g in all_graphs_up_to(4):
+    for g in all_graphs_up_to(5):
         assert g.maximal_independent_sets() == mis_by_filter(g)
+
+
+@given(graphs(max_n=10))
+def test_mis_matches_filter_random(g):
+    assert g.maximal_independent_sets() == mis_by_filter(g)
 
 
 def test_mis_matches_filter_structured_and_random():
@@ -249,6 +254,12 @@ def test_mis_matches_filter_structured_and_random():
         cases.append(Graph(n, edges))
     for g in cases:
         assert g.maximal_independent_sets() == mis_by_filter(g)
+
+
+def test_mis_counts_of_the_largest_sweep_instances():
+    # Perrin and Padovan numbers: the maximal independent sets of C_24 and P_24
+    assert len(cycle_graph(24).maximal_independent_sets()) == 853
+    assert len(path_graph(24).maximal_independent_sets()) == 816
 
 
 def test_mis_cap():

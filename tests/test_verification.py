@@ -82,6 +82,17 @@ def test_parallel_equals_serial():
     assert serial == parallel
 
 
+def _square(x: int) -> int:
+    return x * x
+
+
+def test_pmap_returns_results_in_item_order(monkeypatch):
+    # the pool takes the items in reverse; results still come in item order
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: 2)
+    items = (i for i in range(50))
+    assert verification._pmap(_square, items, jobs=2) == [i * i for i in range(50)]
+
+
 def test_corpus_is_seed_deterministic():
     a = random_graph_corpus(30, 8, seed=77)
     b = random_graph_corpus(30, 8, seed=77)
