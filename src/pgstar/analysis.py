@@ -13,11 +13,26 @@ A graph is pseudo-Gorenstein when the leading coefficient of its
 (trimmed) h-polynomial is 1, and pseudo-Gorenstein* when additionally
 the a-invariant deg h - alpha vanishes; the latter is equivalent to
 P(-1) = (-1)^alpha.
+
+Every field of an ``AnalysisReport`` is a function of P alone, and P is
+an immutable ``IntPolynomial`` that hashes and compares by its
+coefficients.  So ``analyze`` memoizes the step from P to the report,
+per process, in an LRU cache of ``MEMO_SIZE`` = 512 entries, for P of
+degree alpha <= ``MEMO_MAX_ALPHA`` = 32; sweeps over small graphs meet
+the same P many times.  A larger P skips the memo and is analysed by
+the same function body, so memory stays bounded for long paths and
+cycles.  At alpha <= 32 and n <= ``graphio.MAX_VERTICES`` = 20 000 a
+coefficient of P is at most binom(20000, 32) < 2^340 and one of h is
+below 2^380, so an entry holds at most 2 x 33 integers of at most 80
+bytes each: under 6 KB, and about 3 MB for a full memo.  Callers share
+the frozen report and never mutate it.  The engine itself is never
+memoized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import Graph
 from .indpoly import independence_polynomial, minus_one_profile
@@ -87,6 +102,12 @@ class AnalysisReport:
     pseudo_gorenstein_star: bool
 
 
+# the memo of ``analyze``: polynomials of degree at most MEMO_MAX_ALPHA,
+# at most MEMO_SIZE of them (see the module docstring for its memory)
+MEMO_MAX_ALPHA = 32
+MEMO_SIZE = 512
+
+
 def analyze(g: Graph) -> AnalysisReport:
     """Full exact analysis of one graph.
 
@@ -94,6 +115,14 @@ def analyze(g: Graph) -> AnalysisReport:
     pseudo-Gorenstein* (its value at -1 is 1 = (-1)^0).
     """
     p = independence_polynomial(g)
+    if p.degree <= MEMO_MAX_ALPHA:
+        return _analyze_polynomial(p)
+    return _analyze_polynomial.__wrapped__(p)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _analyze_polynomial(p: IntPolynomial) -> AnalysisReport:
+    """The report of a graph with independence polynomial ``p``."""
     alpha = p.degree
     profile = minus_one_profile(p)
     h = h_polynomial(p, alpha)

@@ -118,24 +118,38 @@ class Graph:
         Surviving vertices are relabeled 1..k preserving their original
         order.
         """
-        kept = sorted(set(keep))
-        for v in kept:
+        mask = 0
+        for v in keep:
             self._check_vertex(v)
-        mapping = {old: new for new, old in enumerate(kept, start=1)}
-        edges = [
-            (mapping[u], mapping[v])
-            for u, v in self.edges()
-            if u in mapping and v in mapping
-        ]
-        return Graph(len(kept), edges)
+            mask |= 1 << (v - 1)
+        return self._induced(mask)
 
     def delete_closed_neighborhood(self, v: int) -> "Graph":
         """Induced subgraph on V - N[v], relabeled order-preservingly."""
         self._check_vertex(v)
         closed = self._adj[v - 1] | (1 << (v - 1))
-        return self.induced_subgraph(
-            u for u in self.vertices if not closed >> (u - 1) & 1
-        )
+        return self._induced(((1 << self._n) - 1) & ~closed)
+
+    def _induced(self, keep: int) -> "Graph":
+        # each kept vertex's bit maps to the bit of its new label, in label
+        # order; the bit loops are inline, as in ``mask_components``
+        new_bit = {}
+        m = keep
+        while m:
+            b = m & -m
+            m ^= b
+            new_bit[b] = 1 << len(new_bit)
+        adj = self._adj
+        rows = []
+        for b in new_bit:
+            m = adj[b.bit_length() - 1] & keep
+            row = 0
+            while m:
+                c = m & -m
+                m ^= c
+                row |= new_bit[c]
+            rows.append(row)
+        return _from_masks(rows)
 
     # -- set predicates ----------------------------------------------------
 
@@ -248,6 +262,18 @@ class Graph:
         return f"Graph({self._n}, {self.edges()!r})"
 
 
+def _from_masks(adj: list[int]) -> Graph:
+    """The graph on len(adj) vertices whose adjacency masks are ``adj``.
+
+    ``adj`` must be symmetric with no self-loops.  The graph is built by
+    ``Graph.__init__`` like every other, and the masks replace its empty
+    adjacency, so no edge list is made only to be parsed back.
+    """
+    g = Graph(len(adj))
+    g._adj = tuple(adj)
+    return g
+
+
 def path_graph(n: int) -> Graph:
     """Path 1-2-...-n; n = 0 gives the empty graph."""
     if n < 0:
@@ -284,8 +310,7 @@ def complete_multipartite(parts: Sequence[int]) -> Graph:
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Disjoint union; h's vertices are shifted above g's."""
-    edges = g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()]
-    return Graph(g.n + h.n, edges)
+    return _from_masks([*g._adj, *(m << g.n for m in h._adj)])
 
 
 def suspension(g: Graph, attach: Iterable[int]) -> Graph:
@@ -300,9 +325,14 @@ def suspension(g: Graph, attach: Iterable[int]) -> Graph:
     for c in attach:
         if not (1 <= c <= g.n):
             raise ValueError(f"attachment vertex {c} outside 1..{g.n}")
-    z = g.n + 1
-    edges = g.edges() + [(c, z) for c in attach]
-    return Graph(z, edges)
+    apex = 1 << g.n
+    adj = list(g._adj)
+    attached = 0
+    for c in attach:
+        adj[c - 1] |= apex
+        attached |= 1 << (c - 1)
+    adj.append(attached)
+    return _from_masks(adj)
 
 
 @dataclass(frozen=True)

@@ -162,11 +162,12 @@ def all_graphs_up_to(max_n: int) -> Iterator[Graph]:
 
 def _mixed_corpus(
     random_count: int, max_n: int, seed: int, exhaustive_n: int
-) -> list[tuple[int, Graph]]:
-    """Numbered seeded random graphs, then every graph with n <= exhaustive_n."""
-    corpus = list(random_graph_corpus(random_count, max_n, seed))
-    corpus.extend(all_graphs_up_to(exhaustive_n))
-    return list(enumerate(corpus))
+) -> Iterator[tuple[int, Graph]]:
+    """Numbered seeded random graphs, then every graph with n <= exhaustive_n,
+    built as they are consumed."""
+    return enumerate(
+        chain(random_graph_corpus(random_count, max_n, seed), all_graphs_up_to(exhaustive_n))
+    )
 
 
 def random_cameron_walker_specs(

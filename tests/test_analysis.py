@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgstar.analysis import (
+    MEMO_MAX_ALPHA,
+    MEMO_SIZE,
+    _analyze_polynomial,
     a_invariant,
     analyze,
     h_polynomial,
@@ -17,6 +21,7 @@ from pgstar.graphs import (
     Graph,
     complete_multipartite,
     cycle_graph,
+    disjoint_union,
     path_graph,
     suspension,
 )
@@ -201,6 +206,54 @@ def test_deg_h_equals_alpha_minus_multiplicity_corpus():
     for g in random_corpus(60, 10, seed=24):
         rep = analyze(g)
         assert rep.h_degree == rep.alpha - rep.multiplicity
+
+
+# -- the memo of analyze --------------------------------------------------------
+
+
+def _fields(rep):
+    return {f.name: getattr(rep, f.name) for f in fields(rep)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graphs(max_n=8), st.integers(0, 80).map(path_graph)))
+@example(path_graph(64))  # alpha = 32, the largest the memo takes
+@example(path_graph(70))  # alpha = 35, past the memo
+def test_analyze_equals_the_analysis_of_its_polynomial(g):
+    # the second call may be a memo hit; both must equal a fresh analysis
+    fresh = _fields(_analyze_polynomial.__wrapped__(independence_polynomial(g)))
+    assert _fields(analyze(g)) == fresh
+    assert _fields(analyze(g)) == fresh
+
+
+def test_memo_stays_within_its_size():
+    # P_a plus k isolated vertices has P = P_a(x) (1+x)^k and alpha = ceil(a/2) + k
+    family = [
+        disjoint_union(path_graph(a), Graph(k))
+        for a in range(2 * MEMO_MAX_ALPHA + 1)
+        for k in range(MEMO_MAX_ALPHA - (a + 1) // 2 + 1)
+    ]
+    assert len({independence_polynomial(g) for g in family}) > MEMO_SIZE
+    for g in family:
+        analyze(g)
+        info = _analyze_polynomial.cache_info()
+        assert info.maxsize == MEMO_SIZE
+        assert info.currsize <= MEMO_SIZE
+
+
+@pytest.mark.parametrize(
+    "g, memoized",
+    [(path_graph(2 * MEMO_MAX_ALPHA), True), (path_graph(2 * MEMO_MAX_ALPHA + 1), False)],
+    ids=["alpha_at_bound", "alpha_past_bound"],
+)
+def test_only_small_alpha_reaches_the_memo(g, memoized):
+    before = _analyze_polynomial.cache_info()
+    analyze(g)
+    analyze(g)
+    after = _analyze_polynomial.cache_info()
+    assert (after != before) == memoized
+    if memoized:
+        assert after.hits > before.hits
 
 
 # -- the mod-12 classifications ------------------------------------------------------
