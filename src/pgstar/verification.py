@@ -35,7 +35,11 @@ from .graphs import (
     path_graph,
     suspension,
 )
-from .indpoly import independence_polynomial, independence_polynomial_bruteforce
+from .indpoly import (
+    BRUTE_FORCE_LIMIT,
+    independence_polynomial,
+    independence_polynomial_bruteforce,
+)
 from .polynomials import IntPolynomial
 
 DEFAULT_SEED = 1729
@@ -45,6 +49,11 @@ DENSITY_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 CW_MAX_SIDE = 3
 CW_MAX_LEAVES = 2
 CW_MAX_TRIANGLES = 2
+# Largest n whose every labelled graph a mixed corpus takes in.  There are
+# sum over n <= k of 2^C(n, 2) of them: 2 131 020 at k = 7 and 270 566 476
+# at k = 8.  A pool lists them first, at about 236 bytes each, so about
+# 0.5 GB at k = 7 and 64 GB at k = 8.
+EXHAUSTIVE_MAX_N = 7
 
 
 @dataclass(frozen=True)
@@ -160,14 +169,34 @@ def all_graphs_up_to(max_n: int) -> Iterator[Graph]:
         yield from all_graphs(n)
 
 
+def _refuse_larger(limit: int, graphs: Iterable[Graph], what: str) -> None:
+    largest = max((g.n for g in graphs), default=0)
+    if largest > limit:
+        raise EnumerationLimitError(
+            f"{what} capped at n = {limit}, corpus has a graph with n = {largest}"
+        )
+
+
 def _mixed_corpus(
-    random_count: int, max_n: int, seed: int, exhaustive_n: int
+    random_count: int, max_n: int, seed: int, exhaustive_n: int, brute_force: bool = False
 ) -> Iterator[tuple[int, Graph]]:
     """Numbered seeded random graphs, then every graph with n <= exhaustive_n,
-    built as they are consumed."""
-    return enumerate(
-        chain(random_graph_corpus(random_count, max_n, seed), all_graphs_up_to(exhaustive_n))
-    )
+    built as they are consumed.
+
+    An exhaustive part past ``EXHAUSTIVE_MAX_N`` is refused before anything
+    is built; with ``brute_force``, so is a random graph past
+    ``BRUTE_FORCE_LIMIT``, before any graph is checked.
+    """
+    if exhaustive_n > EXHAUSTIVE_MAX_N:
+        raise EnumerationLimitError(
+            f"exhaustive enumeration capped at n = {EXHAUSTIVE_MAX_N}, "
+            f"asked for every graph with n <= {exhaustive_n}"
+        )
+    randoms = random_graph_corpus(random_count, max_n, seed)
+    if brute_force:
+        # the exhaustive part stays below the limit
+        _refuse_larger(BRUTE_FORCE_LIMIT, randoms, "brute-force counting")
+    return enumerate(chain(randoms, all_graphs_up_to(exhaustive_n)))
 
 
 def random_cameron_walker_specs(
@@ -434,12 +463,7 @@ def verify_vc_suspension(
     mis_limit: int = MIS_ENUMERATION_LIMIT,
 ) -> VerifyOutcome:
     corpus = list(enumerate(random_graph_corpus(count, max_n, seed)))
-    largest = max((g.n for _, g in corpus), default=0)
-    if largest > mis_limit:
-        raise EnumerationLimitError(
-            f"independent-set enumeration capped at n = {mis_limit}, "
-            f"corpus has a graph with n = {largest}"
-        )
+    _refuse_larger(mis_limit, (g for _, g in corpus), "independent-set enumeration")
     return _gather("vc-suspension", _check_vc_suspension, corpus, jobs, seed)
 
 
@@ -498,7 +522,7 @@ def verify_oracle(
     jobs: int = 1,
 ) -> VerifyOutcome:
     """Engine vs brute force; the backbone correctness sweep."""
-    corpus = _mixed_corpus(random_count, max_n, seed, exhaustive_n)
+    corpus = _mixed_corpus(random_count, max_n, seed, exhaustive_n, brute_force=True)
     return _gather("oracle", _check_oracle, corpus, jobs, seed)
 
 

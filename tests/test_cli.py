@@ -371,6 +371,24 @@ def test_verify_enum_cap_exits_3(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "deg-via-ord", "--random", "0", "--exhaustive-n", "8"],
+         "exhaustive enumeration capped at n = 7, asked for every graph with n <= 8"),
+        (["verify", "oracle", "--exhaustive-n", "8"],
+         "exhaustive enumeration capped at n = 7, asked for every graph with n <= 8"),
+        (["verify", "oracle", "--random", "40", "--max-n", "27", "--exhaustive-n", "0"],
+         "brute-force counting capped at n = 26, corpus has a graph with n = 27"),
+    ],
+)
+def test_verify_corpus_past_its_cap_exits_3(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "cycles", "--max-n", "-5"],

@@ -171,11 +171,15 @@ def solver_cases(draw):
 def test_frontier_and_pivot_sides_match_bruteforce(g):
     want = independence_polynomial_bruteforce(g)
     assert independence_polynomial(g) == want
-    # -1 sends every subgraph to the pivot side, n every one to the frontier side
-    for width in (-1, g.n):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(indpoly, "FRONTIER_WIDTH", width)
-            assert independence_polynomial(g) == want, width
+    # -1 sends every subgraph to the pivot side, n every one to the frontier
+    # side; a pack threshold of 0 keeps every frontier state a coefficient
+    # list, n packs every one into an int
+    for width in (indpoly.FRONTIER_WIDTH, -1, g.n):
+        for pack in (0, g.n):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(indpoly, "FRONTIER_WIDTH", width)
+                patch.setattr(indpoly, "PACK_MAX_N", pack)
+                assert independence_polynomial(g) == want, (width, pack)
 
 
 def test_deep_pivots_and_long_caterpillars_finish():
@@ -190,14 +194,47 @@ def test_deep_pivots_and_long_caterpillars_finish():
     assert independence_polynomial(caterpillar([1] * n)) == a + b
 
 
+def path_coefficients(n: int) -> tuple[int, ...]:
+    """i_k(P_n) = binom(n - k + 1, k)."""
+    return tuple(comb(n - k + 1, k) for k in range((n + 1) // 2 + 1))
+
+
+def cycle_coefficients(n: int) -> tuple[int, ...]:
+    """i_k(C_n) = n / (n - k) * binom(n - k, k)."""
+    return (1, *(n * comb(n - k, k) // (n - k) for k in range(1, n // 2 + 1)))
+
+
 def test_long_path_and_cycle_coefficients():
-    # i_k(P_n) = binom(n - k + 1, k) and i_k(C_n) = n / (n - k) * binom(n - k, k)
-    n = 1200
-    want = [comb(n - k + 1, k) for k in range((n + 1) // 2 + 1)]
-    assert independence_polynomial(path_graph(n)).coeffs == tuple(want)
-    n = 1500
-    want = [1] + [n * comb(n - k, k) // (n - k) for k in range(1, n // 2 + 1)]
-    assert independence_polynomial(cycle_graph(n)).coeffs == tuple(want)
+    assert independence_polynomial(path_graph(1200)).coeffs == path_coefficients(1200)
+    assert independence_polynomial(cycle_graph(1500)).coeffs == cycle_coefficients(1500)
+
+
+@pytest.mark.parametrize("above", [0, 1])
+def test_packed_slots_hold_the_largest_counts(above, monkeypatch):
+    # the edgeless graph has the largest coefficients of any k-vertex graph
+    k = indpoly.PACK_MAX_N + above
+    kernels = []
+
+    def spy(name):
+        kernel = getattr(indpoly, name)
+
+        def counted(steps):
+            kernels.append(name)
+            return kernel(steps)
+
+        monkeypatch.setattr(indpoly, name, counted)
+
+    spy("_frontier_polynomial")
+    spy("_packed_frontier_polynomial")
+    assert independence_polynomial(Graph(k)) == IntPolynomial.binomial(k)
+    assert independence_polynomial(path_graph(k)).coeffs == path_coefficients(k)
+    assert independence_polynomial(cycle_graph(k)).coeffs == cycle_coefficients(k)
+    want = "_frontier_polynomial" if above else "_packed_frontier_polynomial"
+    assert kernels == [want] * 3
+
+
+def test_packed_kernel_on_no_steps_is_one():
+    assert indpoly._packed_frontier_polynomial([]) == ONE
 
 
 # -- structural invariants ---------------------------------------------------------

@@ -3,7 +3,8 @@ from itertools import combinations
 import pytest
 
 from pgstar import families, verification
-from pgstar.graphs import Graph
+from pgstar.graphs import EnumerationLimitError, Graph
+from pgstar.indpoly import BRUTE_FORCE_LIMIT
 from pgstar.verification import (
     DEFAULT_SEED,
     Mismatch,
@@ -132,10 +133,29 @@ def test_random_corpora_reject_sizes_no_graph_has():
 
 
 def test_enum_cap_propagates():
-    from pgstar.graphs import EnumerationLimitError
-
     with pytest.raises(EnumerationLimitError):
         verification.verify_cycle_mis_suspension(max_n=12, mis_limit=10)
+
+
+def test_oracle_refuses_an_oversized_graph_before_any_check(monkeypatch):
+    # the 16th graph of this corpus has 27 vertices, one past the brute force
+    sizes = [g.n for g in random_graph_corpus(40, 27, DEFAULT_SEED)]
+    assert max(sizes) == BRUTE_FORCE_LIMIT + 1 and sizes.index(max(sizes)) == 15
+    checked = []
+    monkeypatch.setattr(verification, "_check_oracle", checked.append)
+    with pytest.raises(EnumerationLimitError, match="corpus has a graph with n = 27"):
+        verification.verify_oracle(random_count=40, max_n=27, exhaustive_n=0)
+    assert checked == []
+
+
+@pytest.mark.parametrize("sweep", [verification.verify_deg_via_ord, verification.verify_oracle])
+def test_exhaustive_part_is_capped_before_anything_is_built(sweep, monkeypatch):
+    built = []
+    monkeypatch.setattr(verification, "random_graph_corpus", lambda *args: built.append(args))
+    monkeypatch.setattr(verification, "all_graphs_up_to", lambda *args: built.append(args))
+    with pytest.raises(EnumerationLimitError, match="exhaustive enumeration capped at n = 7"):
+        sweep(random_count=0, exhaustive_n=verification.EXHAUSTIVE_MAX_N + 1)
+    assert built == []
 
 
 @pytest.mark.parametrize(
