@@ -31,8 +31,8 @@ memoized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .graphs import Graph
 from .indpoly import independence_polynomial, minus_one_profile
@@ -86,8 +86,7 @@ def a_invariant(h_poly: IntPolynomial, alpha: int) -> int:
     return h_poly.degree - alpha
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Every invariant this package derives from one graph."""
 
     alpha: int
@@ -142,19 +141,23 @@ def _analyze_polynomial(p: IntPolynomial) -> AnalysisReport:
     )
 
 
+# how ``report_to_dict`` renders each field of the report of an n-vertex
+# graph; integers that can grow large become decimal strings
+REPORT_FIELDS: dict[str, Callable[[int, AnalysisReport], object]] = {
+    "n": lambda n, rep: n,
+    "alpha": lambda n, rep: rep.alpha,
+    "independence_polynomial": lambda n, rep: [str(c) for c in rep.ind_poly.coeffs],
+    "p_at_minus_one": lambda n, rep: str(rep.p_minus_one),
+    "multiplicity": lambda n, rep: rep.multiplicity,
+    "a_invariant": lambda n, rep: rep.a_invariant,
+    "h_polynomial": lambda n, rep: [str(c) for c in rep.h_poly.coeffs],
+    "h_degree": lambda n, rep: rep.h_degree,
+    "h_top": lambda n, rep: str(rep.h_top),
+    "pseudo_gorenstein": lambda n, rep: rep.pseudo_gorenstein,
+    "pseudo_gorenstein_star": lambda n, rep: rep.pseudo_gorenstein_star,
+}
+
+
 def report_to_dict(n: int, rep: AnalysisReport) -> dict:
-    """The report of an n-vertex graph as JSON-ready fields; integers that
-    can grow large are decimal strings."""
-    return {
-        "n": n,
-        "alpha": rep.alpha,
-        "independence_polynomial": [str(c) for c in rep.ind_poly.coeffs],
-        "p_at_minus_one": str(rep.p_minus_one),
-        "multiplicity": rep.multiplicity,
-        "a_invariant": rep.a_invariant,
-        "h_polynomial": [str(c) for c in rep.h_poly.coeffs],
-        "h_degree": rep.h_degree,
-        "h_top": str(rep.h_top),
-        "pseudo_gorenstein": rep.pseudo_gorenstein,
-        "pseudo_gorenstein_star": rep.pseudo_gorenstein_star,
-    }
+    """The report of an n-vertex graph as JSON-ready fields."""
+    return {key: render(n, rep) for key, render in REPORT_FIELDS.items()}

@@ -19,7 +19,6 @@ potentially large integers as decimal strings.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -253,7 +252,10 @@ def cmd_suspend(args) -> int:
 
 def _run_sweep(args) -> verification.VerifyOutcome:
     sweep = verification.SWEEPS[args.theorem]
-    accepted = inspect.signature(sweep).parameters
+    # the sweep's parameters come from its code object: importing inspect
+    # for its signature would cost about as much as importing pgstar
+    code = sweep.__code__
+    accepted = code.co_varnames[: code.co_argcount]
     # an option the user did not set is absent from args (SUPPRESS)
     options = {dest: getattr(args, dest) for dest in args.sweep_flags if hasattr(args, dest)}
     foreign = [args.sweep_flags[dest] for dest in options if dest not in accepted]

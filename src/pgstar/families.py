@@ -12,8 +12,7 @@ routes independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import CameronWalkerSpec
 from .polynomials import IntPolynomial
@@ -82,31 +81,43 @@ def multipartite_closed_poly(parts: Sequence[int]) -> IntPolynomial:
     return total
 
 
-@dataclass(frozen=True)
-class CycleSuspensionParams:
+class _CycleSuspensionFields(NamedTuple):
+    n: int
+    c: int
+
+
+class CycleSuspensionParams(_CycleSuspensionFields):
     """A maximal independent set of size c in the cycle on n vertices.
 
     The gaps between consecutive chosen vertices around the cycle have
     size 1 or 2; ``ell`` counts the size-2 gaps.
     """
 
-    n: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_cycle(self.n)
-        lo = -(-self.n // 3)
-        hi = self.n // 2
-        if not lo <= self.c <= hi:
-            raise ValueError(f"c = {self.c} outside {lo}..{hi} for n = {self.n}")
+    def __new__(cls, n: int, c: int) -> CycleSuspensionParams:
+        self = super().__new__(cls, n, c)
+        _check_cycle(n)
+        lo = -(-n // 3)
+        hi = n // 2
+        if not lo <= c <= hi:
+            raise ValueError(f"c = {c} outside {lo}..{hi} for n = {n}")
+        return self
 
     @property
     def ell(self) -> int:
         return self.n - 2 * self.c
 
 
-@dataclass(frozen=True)
-class PathSuspensionParams:
+class _PathSuspensionFields(NamedTuple):
+    n: int
+    c: int
+    ell: int
+    delta0: int
+    delta_t: int
+
+
+class PathSuspensionParams(_PathSuspensionFields):
     """Gap statistics of a maximal independent set in the path on n vertices.
 
     c members, ell internal gaps of size 2, delta0/delta_t flag a missed
@@ -114,21 +125,21 @@ class PathSuspensionParams:
     vertices left after removing the closed neighborhood of the apex.
     """
 
-    n: int
-    c: int
-    ell: int
-    delta0: int
-    delta_t: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.c < 1:
+    def __new__(
+        cls, n: int, c: int, ell: int, delta0: int, delta_t: int
+    ) -> PathSuspensionParams:
+        self = super().__new__(cls, n, c, ell, delta0, delta_t)
+        if c < 1:
             raise ValueError("the set must be nonempty")
-        if self.delta0 not in (0, 1) or self.delta_t not in (0, 1):
+        if delta0 not in (0, 1) or delta_t not in (0, 1):
             raise ValueError("endpoint flags must be 0 or 1")
         if self.e < 0:
             raise ValueError("inconsistent parameters: e < 0")
-        if self.n != 2 * self.c + self.ell - 1 + self.delta:
+        if n != 2 * c + ell - 1 + self.delta:
             raise ValueError("inconsistent parameters: n != 2c + ell - 1 + delta")
+        return self
 
     @property
     def delta(self) -> int:

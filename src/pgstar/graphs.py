@@ -12,8 +12,7 @@ threads or processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 MIS_ENUMERATION_LIMIT = 24
 
@@ -335,26 +334,35 @@ def suspension(g: Graph, attach: Iterable[int]) -> Graph:
     return _from_masks(adj)
 
 
-@dataclass(frozen=True)
-class CameronWalkerSpec:
-    """Connected bipartite core X + Y, leaves on X, pendant triangles on Y.
-
-    ``core_edges`` holds (i, j) pairs meaning x_i - y_j, with i in
-    1..core_x and j in 1..core_y.  Every x_i carries ``leaves[i-1] >= 1``
-    leaf neighbors; every y_j carries ``triangles[j-1] >= 0`` pendant
-    triangles.
-    """
-
+class _CameronWalkerFields(NamedTuple):
     core_x: int
     core_y: int
     core_edges: tuple[tuple[int, int], ...]
     leaves: tuple[int, ...]
     triangles: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "core_edges", tuple(tuple(e) for e in self.core_edges))
-        object.__setattr__(self, "leaves", tuple(self.leaves))
-        object.__setattr__(self, "triangles", tuple(self.triangles))
+
+class CameronWalkerSpec(_CameronWalkerFields):
+    """Connected bipartite core X + Y, leaves on X, pendant triangles on Y.
+
+    ``core_edges`` holds (i, j) pairs meaning x_i - y_j, with i in
+    1..core_x and j in 1..core_y.  Every x_i carries ``leaves[i-1] >= 1``
+    leaf neighbors; every y_j carries ``triangles[j-1] >= 0`` pendant
+    triangles.  Lists are stored as tuples.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        core_x: int,
+        core_y: int,
+        core_edges: Iterable[Sequence[int]],
+        leaves: Iterable[int],
+        triangles: Iterable[int],
+    ) -> CameronWalkerSpec:
+        edges = tuple(tuple(e) for e in core_edges)
+        self = super().__new__(cls, core_x, core_y, edges, tuple(leaves), tuple(triangles))
         if self.core_x < 1 or self.core_y < 1:
             raise ValueError("both core sides must be nonempty")
         if len(self.leaves) != self.core_x:
@@ -371,6 +379,7 @@ class CameronWalkerSpec:
         core = self.core_graph()
         if len(core.connected_components()) != 1:
             raise ValueError("core must be connected")
+        return self
 
     def core_graph(self) -> Graph:
         """The bipartite core alone: X is 1..core_x, Y follows."""

@@ -34,8 +34,7 @@ two sides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import EnumerationLimitError, Graph, mask_components
 from .polynomials import ONE, IntPolynomial
@@ -253,8 +252,7 @@ def independence_polynomial_bruteforce(
     return IntPolynomial(counts)
 
 
-@dataclass(frozen=True)
-class MinusOneProfile:
+class MinusOneProfile(NamedTuple):
     """Exact value at -1 together with the multiplicity of -1 as a root."""
 
     value: int

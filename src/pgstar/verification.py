@@ -18,23 +18,24 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from itertools import chain, combinations, combinations_with_replacement
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import families
-from .analysis import AnalysisReport, analyze, report_to_dict
+from .analysis import REPORT_FIELDS, AnalysisReport, analyze
 from .graphs import (
     MIS_ENUMERATION_LIMIT,
     CameronWalkerSpec,
     EnumerationLimitError,
     Graph,
+    _from_masks,
     cameron_walker,
     complete_multipartite,
     cycle_graph,
     path_graph,
     suspension,
 )
+from .graphio import MAX_VERTICES
 from .indpoly import (
     BRUTE_FORCE_LIMIT,
     independence_polynomial,
@@ -56,15 +57,13 @@ CW_MAX_TRIANGLES = 2
 EXHAUSTIVE_MAX_N = 7
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     instance: str
     expected: str
     got: str
 
 
-@dataclass(frozen=True)
-class VerifyOutcome:
+class VerifyOutcome(NamedTuple):
     theorem: str
     instances: int
     mismatches: tuple[Mismatch, ...]
@@ -122,31 +121,45 @@ def _gather(theorem, checks, items, jobs, seed=None) -> VerifyOutcome:
     return VerifyOutcome(theorem, len(results), mismatches, seed)
 
 
+# what a prediction may state: a field of ``report_to_dict``, rendered the
+# same way, or whether the a-invariant vanishes
+_PREDICTABLE = {**REPORT_FIELDS, "a_invariant_zero": lambda n, rep: rep.a_invariant == 0}
+
+
 def prediction_mismatches(
     instance: str, predicted: dict, n: int, rep: AnalysisReport
-) -> list[Mismatch]:
+) -> tuple[Mismatch, ...]:
     """Every predicted field that the report of an n-vertex graph contradicts.
 
     ``predicted`` is keyed like ``report_to_dict``; a key the report does
     not carry, such as ``case``, is skipped, and ``a_invariant_zero`` is
-    read off the a-invariant.
+    read off the a-invariant.  Only the predicted fields are rendered.
     """
-    computed = report_to_dict(n, rep)
-    computed["a_invariant_zero"] = rep.a_invariant == 0
-    return [
-        Mismatch(f"{instance} {key}", str(want), str(computed[key]))
-        for key, want in predicted.items()
-        if key in computed and computed[key] != want
-    ]
+    out = []
+    for key, want in predicted.items():
+        render = _PREDICTABLE.get(key)
+        if render is not None:
+            got = render(n, rep)
+            if got != want:
+                out.append(Mismatch(f"{instance} {key}", str(want), str(got)))
+    return tuple(out)
 
 
 # -- corpora ---------------------------------------------------------------
 
 
 def random_graph_corpus(count: int, max_n: int, seed: int) -> list[Graph]:
-    """Seeded corpus with sizes up to max_n and a swept edge density."""
+    """Seeded corpus with sizes up to max_n and a swept edge density.
+
+    A max_n past ``graphio.MAX_VERTICES`` is refused before any graph is
+    drawn: drawing one walks all C(n, 2) vertex pairs.
+    """
     if count > 0 and max_n < 1:
         raise ValueError(f"random graphs need at least 1 vertex, max n is {max_n}")
+    if count > 0 and max_n > MAX_VERTICES:
+        raise EnumerationLimitError(
+            f"random graphs capped at n = {MAX_VERTICES}, max n is {max_n}"
+        )
     rng = random.Random(seed)
     out = []
     for i in range(count):
@@ -157,11 +170,30 @@ def random_graph_corpus(count: int, max_n: int, seed: int) -> list[Graph]:
     return out
 
 
+def _edge_set_masks(n: int, pairs: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """The adjacency masks on n vertices of every subset of ``pairs``,
+    indexed by the subset's bitmask over ``pairs``."""
+    table = [(0,) * n]
+    for u, v in pairs:
+        edge = [0] * n
+        edge[u], edge[v] = 1 << v, 1 << u
+        table += [tuple(a | b for a, b in zip(adj, edge)) for adj in table]
+    return table
+
+
 def all_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled graph on exactly n vertices."""
-    pairs = list(combinations(range(1, n + 1), 2))
-    for mask in range(1 << len(pairs)):
-        yield Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+    """Every labeled graph on exactly n vertices.
+
+    Graph number k has edge i of ``combinations(1..n, 2)`` when bit i of k
+    is set.  Its masks are the union of two precomputed tables, one for
+    each half of the pairs.
+    """
+    pairs = list(combinations(range(n), 2))
+    half = len(pairs) // 2
+    low = _edge_set_masks(n, pairs[:half])
+    for high in _edge_set_masks(n, pairs[half:]):
+        for adj in low:
+            yield _from_masks([a | b for a, b in zip(high, adj)])
 
 
 def all_graphs_up_to(max_n: int) -> Iterator[Graph]:
@@ -234,12 +266,12 @@ def random_cameron_walker_specs(
 # -- per-instance checks (top level so the pool can pickle them) -----------
 
 
-def _check_prediction(item: tuple[str, Graph, dict]) -> list[Mismatch]:
+def _check_prediction(item: tuple[str, Graph, dict]) -> tuple[Mismatch, ...]:
     name, g, predicted = item
     return prediction_mismatches(name, predicted, g.n, analyze(g))
 
 
-def _check_sequence(item: tuple[str, int]) -> list[Mismatch]:
+def _check_sequence(item: tuple[str, int]) -> tuple[Mismatch, ...]:
     kind, n = item
     if kind == "path":
         g, name = path_graph(n), f"P_{n}"
@@ -258,7 +290,7 @@ def _check_sequence(item: tuple[str, int]) -> list[Mismatch]:
         out.append(Mismatch(f"{name} value at -1", str(want), str(value)))
     if signed != signed_want:
         out.append(Mismatch(f"{name} signed value", str(signed_want), str(signed)))
-    return out
+    return tuple(out)
 
 
 def _independent_sets(g: Graph) -> Iterator[frozenset[int]]:
@@ -289,7 +321,7 @@ def _independent_sets(g: Graph) -> Iterator[frozenset[int]]:
             return
 
 
-def _check_vc_suspension(item: tuple[int, Graph]) -> list[Mismatch]:
+def _check_vc_suspension(item: tuple[int, Graph]) -> tuple[Mismatch, ...]:
     index, g = item
     rep = analyze(g)
     one_minus_t = IntPolynomial((1, -1))
@@ -315,24 +347,24 @@ def _check_vc_suspension(item: tuple[int, Graph]) -> list[Mismatch]:
         gz = suspension(g, cover)
         name = f"graph#{index} S={sorted(s_set)}"
         out.extend(prediction_mismatches(name, predicted, gz.n, analyze(gz)))
-    return out
+    return tuple(out)
 
 
-def _structure_mismatch(name: str, h: Graph, c: int, ell: int) -> list[Mismatch]:
+def _structure_mismatch(name: str, h: Graph, c: int, ell: int) -> tuple[Mismatch, ...]:
     # removing the apex closed neighborhood must leave ell disjoint edges
     # plus isolated vertices; h has c + ell vertices by construction
     if h.edge_count() != ell or any(h.degree(v) > 1 for v in h.vertices):
-        return [
+        return (
             Mismatch(
                 f"{name} leftover structure",
                 f"{ell} disjoint edges + {c - ell} isolated vertices",
                 f"n={h.n}, edges={h.edge_count()}",
-            )
-        ]
-    return []
+            ),
+        )
+    return ()
 
 
-def _check_cycle_mis_suspension(item: tuple[int, int]) -> list[Mismatch]:
+def _check_cycle_mis_suspension(item: tuple[int, int]) -> tuple[Mismatch, ...]:
     n, limit = item
     g = cycle_graph(n)
     out = []
@@ -347,10 +379,10 @@ def _check_cycle_mis_suspension(item: tuple[int, int]) -> list[Mismatch]:
         out.extend(prediction_mismatches(name, predicted, gz.n, analyze(gz)))
         c = len(members)
         out.extend(_structure_mismatch(name, gz.delete_closed_neighborhood(gz.n), c, n - 2 * c))
-    return out
+    return tuple(out)
 
 
-def _check_path_mis_suspension(item: tuple[int, int]) -> list[Mismatch]:
+def _check_path_mis_suspension(item: tuple[int, int]) -> tuple[Mismatch, ...]:
     n, limit = item
     g = path_graph(n)
     out = []
@@ -372,10 +404,10 @@ def _check_path_mis_suspension(item: tuple[int, int]) -> list[Mismatch]:
         out.extend(prediction_mismatches(name, predicted, gz.n, rep))
         if not predicted["a_invariant_zero"] and rep.a_invariant >= 0:
             out.append(Mismatch(f"{name} a-invariant sign", "< 0", str(rep.a_invariant)))
-    return out
+    return tuple(out)
 
 
-def _check_deg_via_ord(item: tuple[int, Graph]) -> list[Mismatch]:
+def _check_deg_via_ord(item: tuple[int, Graph]) -> tuple[Mismatch, ...]:
     index, g = item
     rep = analyze(g)
     out = []
@@ -391,18 +423,16 @@ def _check_deg_via_ord(item: tuple[int, Graph]) -> list[Mismatch]:
         out.append(
             Mismatch(f"graph#{index} a-invariant", str(-rep.multiplicity), str(rep.a_invariant))
         )
-    return out
+    return tuple(out)
 
 
-def _check_oracle(item: tuple[int, Graph]) -> list[Mismatch]:
+def _check_oracle(item: tuple[int, Graph]) -> tuple[Mismatch, ...]:
     index, g = item
     engine = independence_polynomial(g)
     brute = independence_polynomial_bruteforce(g)
     if engine != brute:
-        return [
-            Mismatch(f"graph#{index} oracle", str(brute.coeffs), str(engine.coeffs))
-        ]
-    return []
+        return (Mismatch(f"graph#{index} oracle", str(brute.coeffs), str(engine.coeffs)),)
+    return ()
 
 
 # -- sweeps ----------------------------------------------------------------

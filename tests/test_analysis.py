@@ -1,5 +1,4 @@
 import random
-from dataclasses import fields
 from itertools import combinations
 
 import pytest
@@ -212,7 +211,7 @@ def test_deg_h_equals_alpha_minus_multiplicity_corpus():
 
 
 def _fields(rep):
-    return {f.name: getattr(rep, f.name) for f in fields(rep)}
+    return rep._asdict()
 
 
 @settings(max_examples=200, deadline=None)

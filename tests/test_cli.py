@@ -486,6 +486,28 @@ def test_vc_suspension_enum_cap_exits_3(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "deg-via-ord", "--random", "1", "--max-n", "100000", "--exhaustive-n", "-1"],
+        ["verify", "vc-suspension", "--count", "1", "--max-n", "100000"],
+    ],
+)
+def test_random_corpus_past_the_vertex_limit_exits_3_at_once(argv):
+    # drawing one such graph would walk C(n, 2) vertex pairs; the cap comes first
+    proc = subprocess.run(
+        [sys.executable, "-m", "pgstar", *argv],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        f"error: random graphs capped at n = {MAX_VERTICES}, max n is 100000\n"
+    )
+
+
 # the closed-form sweeps ship each graph and its prediction to the pool
 @pytest.mark.parametrize(
     "argv",
@@ -545,7 +567,8 @@ from pgstar.cli import build_parser, main
 build_parser()
 codes = [main(["compute", sys.argv[1]]), main(["verify", "cycles", "--max-n", "5"])]
 pool = [m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules]
-print(json.dumps({"codes": codes, "pool": pool}))
+introspection = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+print(json.dumps({"codes": codes, "pool": pool, "introspection": introspection}))
 """
 
 
@@ -559,7 +582,12 @@ def test_single_worker_runs_never_import_the_pool(tmp_path):
         env={"PYTHONPATH": CHILD_ENV["PYTHONPATH"]},
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0], "pool": []}
+    # records are named tuples and sweep options come from code objects
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "codes": [0, 0],
+        "pool": [],
+        "introspection": [],
+    }
 
 
 def test_closed_stdout_exits_0_quietly(tmp_path):

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -393,3 +395,25 @@ def test_predictions_are_keyed_like_the_report():
     ]
     for predicted in predictions:
         assert set(predicted) <= report_keys, predicted
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        CycleSuspensionParams(9, 3),
+        path_mis_susp_params(4, frozenset({1, 4})),
+        CameronWalkerSpec(2, 1, [[1, 1], [2, 1]], [1, 2], [1]),
+    ],
+)
+def test_validated_records_are_immutable_and_revalidated_when_unpickled(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], 0)
+    with pytest.raises(AttributeError):
+        record.extra = 0
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert hash(type(record)(*record)) == hash(record)
+    # a record made without its constructor fails validation when unpickled
+    first, *rest = record
+    forged = tuple.__new__(type(record), (-first, *rest))
+    with pytest.raises(ValueError):
+        pickle.loads(pickle.dumps(forged))

@@ -349,6 +349,15 @@ def test_cw_spec_validation():
         CameronWalkerSpec(0, 1, [], [], [0])  # empty side
 
 
+def test_cw_spec_stores_lists_as_tuples():
+    spec = CameronWalkerSpec(2, 1, [[1, 1], [2, 1]], [1, 2], [1])
+    assert spec == CameronWalkerSpec(
+        core_x=2, core_y=1, core_edges=((1, 1), (2, 1)), leaves=(1, 2), triangles=(1,)
+    )
+    assert spec.core_edges == ((1, 1), (2, 1))
+    assert (spec.leaves, spec.triangles) == ((1, 2), (1,))
+
+
 def test_cw_alpha_formula_small_specs():
     """alpha(G) = F + T + m0 across random small specs."""
     from pgstar.verification import random_cameron_walker_specs

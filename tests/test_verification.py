@@ -3,13 +3,22 @@ from itertools import combinations
 import pytest
 
 from pgstar import families, verification
-from pgstar.graphs import EnumerationLimitError, Graph
+from pgstar.analysis import analyze
+from pgstar.graphio import MAX_VERTICES
+from pgstar.graphs import (
+    MIS_ENUMERATION_LIMIT,
+    EnumerationLimitError,
+    Graph,
+    cycle_graph,
+    path_graph,
+)
 from pgstar.indpoly import BRUTE_FORCE_LIMIT
 from pgstar.verification import (
     DEFAULT_SEED,
     Mismatch,
     VerifyOutcome,
     all_graphs,
+    prediction_mismatches,
     random_cameron_walker_specs,
     random_graph_corpus,
 )
@@ -110,6 +119,52 @@ def test_all_graphs_enumerates_every_labeled_graph():
     assert list(all_graphs(0)) == [Graph(0)]
 
 
+def test_all_graphs_matches_the_edge_list_construction():
+    # graph number k has pair i of combinations(1..n, 2) when bit i of k is set
+    for n in range(6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        want = [
+            Graph(n, [pair for i, pair in enumerate(pairs) if k >> i & 1])
+            for k in range(1 << len(pairs))
+        ]
+        assert list(all_graphs(n)) == want
+
+
+@pytest.mark.parametrize(
+    "check, item",
+    [
+        (verification._check_prediction,
+         ("C_6", cycle_graph(6), families.predict_chain("cycle", 6))),
+        (verification._check_sequence, ("path", 7)),
+        (verification._check_sequence, ("cycle", 7)),
+        (verification._check_vc_suspension, (0, path_graph(4))),
+        (verification._check_cycle_mis_suspension, (9, MIS_ENUMERATION_LIMIT)),
+        (verification._check_path_mis_suspension, (9, MIS_ENUMERATION_LIMIT)),
+        (verification._check_deg_via_ord, (0, cycle_graph(5))),
+        (verification._check_oracle, (0, cycle_graph(5))),
+    ],
+)
+def test_a_clean_instance_returns_the_empty_tuple(check, item):
+    # every clean instance of a sweep shares the one empty tuple, not a list each
+    assert check(item) == ()
+
+
+def test_wrong_polynomial_predictions_are_reported_as_rendered_lists():
+    rep = analyze(cycle_graph(5))  # P = 1 + 5x + 5x^2, h = 1 + 3t + t^2
+    predicted = {
+        "case": "not a report field",
+        "alpha": 2,
+        "independence_polynomial": ["1", "5", "6"],
+        "h_polynomial": ["1", "3", "2"],
+        "a_invariant_zero": False,
+    }
+    assert prediction_mismatches("C_5", predicted, 5, rep) == (
+        Mismatch("C_5 independence_polynomial", "['1', '5', '6']", "['1', '5', '5']"),
+        Mismatch("C_5 h_polynomial", "['1', '3', '2']", "['1', '3', '1']"),
+        Mismatch("C_5 a_invariant_zero", "False", "True"),
+    )
+
+
 def test_random_cw_specs_are_valid_and_bounded():
     specs = random_cameron_walker_specs(40, max_vertices=16, seed=3)
     assert len(specs) == 40
@@ -127,9 +182,12 @@ def test_random_corpora_reject_sizes_no_graph_has():
     assert len(random_cameron_walker_specs(5, max_vertices=3, seed=DEFAULT_SEED)) == 5
     with pytest.raises(ValueError, match="at least 1 vertex"):
         random_graph_corpus(1, 0, seed=1)
+    with pytest.raises(EnumerationLimitError, match=f"capped at n = {MAX_VERTICES}"):
+        random_graph_corpus(1, MAX_VERTICES + 1, seed=1)
     # an empty draw needs no size
     assert random_cameron_walker_specs(0, max_vertices=2, seed=DEFAULT_SEED) == []
     assert random_graph_corpus(0, 0, seed=1) == []
+    assert random_graph_corpus(0, MAX_VERTICES + 1, seed=1) == []
 
 
 def test_enum_cap_propagates():
