@@ -7,22 +7,32 @@ tested against).  Both return exact integer coefficients.
 The engine solves each subgraph, a bitmask over the vertex set, on one of
 two sides:
 
-- *Frontier side* (thin subgraphs).  A greedy vertex order starts at a
-  minimum-degree vertex, then keeps taking the frontier vertex (an
-  unprocessed neighbour of a processed one) that adds the fewest new
-  frontier vertices, ties going to fewer unprocessed neighbours; when the
-  frontier empties it restarts at a minimum-degree unprocessed vertex.
-  If the frontier never holds more than ``FRONTIER_WIDTH`` vertices (the
-  order's vertex separation), a loop over the order counts independent
-  sets with one state per set of blocked frontier vertices, so at most
-  2^FRONTIER_WIDTH states.  On a subgraph of k <= ``PACK_MAX_N``
-  vertices a state is one int, its counts evaluated at x = 2^k (Kronecker
-  substitution): the sets of one size among k vertices number below 2^k,
-  so no k-bit slot carries, a join is one shift and a merge one addition.  A
-  larger subgraph keeps one coefficient list per state, because every
-  step would copy ints of k * alpha / 2 bits.  The ordering stops as soon
-  as the frontier outgrows the width, so a wide subgraph costs little
-  more than its first steps.  Paths and cycles have width 2; ladders,
+- *Frontier side* (thin subgraphs).  A vertex order is checked against
+  ``FRONTIER_WIDTH``: the frontier (the unprocessed neighbours of
+  processed vertices) may never hold more vertices than that.  If it
+  never does (the order's vertex separation is within the width), a loop
+  over the order counts independent sets with one state per set of
+  blocked frontier vertices, so at most 2^FRONTIER_WIDTH states.  A
+  subgraph of k <= FRONTIER_WIDTH + 1 vertices takes its vertices in
+  ascending label order with no search: after the first step at most
+  k - 1 <= FRONTIER_WIDTH vertices are unprocessed, and the frontier lies
+  among them, so every such subgraph reaches this side with at most
+  2^(k-1) states per step.  No search could change that side: an order's
+  largest frontier is its vertex separation, whose least value over all
+  orders is the pathwidth (Kinnersley, 1992), and no order of k vertices
+  has more than k - 1.  A larger subgraph gets a greedy order: it starts
+  at a minimum-degree vertex, then keeps taking the frontier vertex that
+  adds the fewest new frontier vertices, ties going to fewer unprocessed
+  neighbours; when the frontier empties it restarts at a minimum-degree
+  unprocessed vertex.
+  The greedy ordering stops as soon as the frontier outgrows the width,
+  so a wide subgraph costs little more than its first steps.  On a
+  subgraph of k <= ``PACK_MAX_N`` vertices a state is one int, its counts
+  evaluated at x = 2^k (Kronecker substitution): the sets of one size
+  among k vertices number below 2^k, so no k-bit slot carries, a join is
+  one shift and a merge one addition.  A larger subgraph keeps one
+  coefficient list per state, because every step would copy ints of
+  k * alpha / 2 bits.  Paths and cycles have width 2; ladders,
   caterpillars and 4 x k grids stay within the width at any length.
 - *Pivot side* (everything else).  The subgraph splits into connected
   components, whose polynomials multiply, and a connected one uses
@@ -42,8 +52,14 @@ from .polynomials import ONE, IntPolynomial
 BRUTE_FORCE_LIMIT = 26
 
 # Largest frontier the frontier side accepts: its loop holds up to
-# 2^FRONTIER_WIDTH states.  On G(80, 0.1) (2 cores, CPython 3.11) widths
-# 8 to 12 took 2.1-2.2 s, 6 and 14 2.7 s, 4 and 18 about 4 s.
+# 2^FRONTIER_WIDTH states.  It also decides where the greedy order search
+# starts: a subgraph of at most FRONTIER_WIDTH + 1 vertices always fits
+# and takes label order (see _thin_order).  On G(80, 0.1) (2 cores,
+# CPython 3.11) widths 8 to 12 took 2.1-2.2 s, 6 and 14 2.7 s, 4 and 18
+# about 4 s.  Seed 2 takes 1.24 s with the label-order branch and 1.20 s
+# without it (medians of 12 alternating runs, quartiles 0.88-1.34 and
+# 1.03-1.26 s): its frontier subgraphs have 32 to 53 vertices bar 19 of
+# at most 3, so the branch leaves its 1 404 083 state visits as they are.
 FRONTIER_WIDTH = 10
 
 # Largest frontier subgraph whose states are packed into one int each
@@ -57,12 +73,23 @@ PACK_MAX_N = 512
 
 
 def _thin_order(adj: Sequence[int], mask: int) -> list[tuple[int, int]] | None:
-    """The greedy order of ``mask`` as (vertex bit, its later neighbours)
-    steps, or None as soon as the frontier holds more than FRONTIER_WIDTH
-    vertices."""
+    """An order of ``mask`` as (vertex bit, its later neighbours) steps, or
+    None as soon as the frontier holds more than FRONTIER_WIDTH vertices.
+
+    A mask of k <= FRONTIER_WIDTH + 1 vertices is taken in ascending label
+    order: after its first step at most k - 1 vertices are unprocessed, so
+    the frontier fits the width and the loop holds at most 2^(k-1) states.
+    A larger mask gets the greedy order of the module docstring.
+    """
     width = FRONTIER_WIDTH
     steps = []
     rest = mask
+    if mask.bit_count() <= width + 1:
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            steps.append((bit, adj[bit.bit_length() - 1] & rest))
+        return steps
     frontier = 0
     floor = 0
     while rest:

@@ -148,11 +148,16 @@ def prediction_mismatches(
 # -- corpora ---------------------------------------------------------------
 
 
-def random_graph_corpus(count: int, max_n: int, seed: int) -> list[Graph]:
+def random_graph_corpus(
+    count: int, max_n: int, seed: int, limit: int | None = None, what: str = ""
+) -> list[Graph]:
     """Seeded corpus with sizes up to max_n and a swept edge density.
 
     A max_n past ``graphio.MAX_VERTICES`` is refused before any graph is
-    drawn: drawing one walks all C(n, 2) vertex pairs.
+    drawn: drawing one walks all C(n, 2) vertex pairs.  With a ``limit``,
+    the first n drawn past it is refused as a cap on ``what`` before that
+    graph's edges are drawn, so the graphs before it are drawn as without
+    a limit.
     """
     if count > 0 and max_n < 1:
         raise ValueError(f"random graphs need at least 1 vertex, max n is {max_n}")
@@ -164,6 +169,10 @@ def random_graph_corpus(count: int, max_n: int, seed: int) -> list[Graph]:
     out = []
     for i in range(count):
         n = rng.randint(1, max_n)
+        if limit is not None and n > limit:
+            raise EnumerationLimitError(
+                f"{what} capped at n = {limit}, corpus has a graph with n = {n}"
+            )
         density = DENSITY_GRID[i % len(DENSITY_GRID)]
         edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < density]
         out.append(Graph(n, edges))
@@ -201,14 +210,6 @@ def all_graphs_up_to(max_n: int) -> Iterator[Graph]:
         yield from all_graphs(n)
 
 
-def _refuse_larger(limit: int, graphs: Iterable[Graph], what: str) -> None:
-    largest = max((g.n for g in graphs), default=0)
-    if largest > limit:
-        raise EnumerationLimitError(
-            f"{what} capped at n = {limit}, corpus has a graph with n = {largest}"
-        )
-
-
 def _mixed_corpus(
     random_count: int, max_n: int, seed: int, exhaustive_n: int, brute_force: bool = False
 ) -> Iterator[tuple[int, Graph]]:
@@ -217,17 +218,16 @@ def _mixed_corpus(
 
     An exhaustive part past ``EXHAUSTIVE_MAX_N`` is refused before anything
     is built; with ``brute_force``, so is a random graph past
-    ``BRUTE_FORCE_LIMIT``, before any graph is checked.
+    ``BRUTE_FORCE_LIMIT``, as soon as its size is drawn.
     """
     if exhaustive_n > EXHAUSTIVE_MAX_N:
         raise EnumerationLimitError(
             f"exhaustive enumeration capped at n = {EXHAUSTIVE_MAX_N}, "
             f"asked for every graph with n <= {exhaustive_n}"
         )
-    randoms = random_graph_corpus(random_count, max_n, seed)
-    if brute_force:
-        # the exhaustive part stays below the limit
-        _refuse_larger(BRUTE_FORCE_LIMIT, randoms, "brute-force counting")
+    # the exhaustive part stays below the limit
+    limit = BRUTE_FORCE_LIMIT if brute_force else None
+    randoms = random_graph_corpus(random_count, max_n, seed, limit, "brute-force counting")
     return enumerate(chain(randoms, all_graphs_up_to(exhaustive_n)))
 
 
@@ -492,9 +492,8 @@ def verify_vc_suspension(
     jobs: int = 1,
     mis_limit: int = MIS_ENUMERATION_LIMIT,
 ) -> VerifyOutcome:
-    corpus = list(enumerate(random_graph_corpus(count, max_n, seed)))
-    _refuse_larger(mis_limit, (g for _, g in corpus), "independent-set enumeration")
-    return _gather("vc-suspension", _check_vc_suspension, corpus, jobs, seed)
+    corpus = random_graph_corpus(count, max_n, seed, mis_limit, "independent-set enumeration")
+    return _gather("vc-suspension", _check_vc_suspension, enumerate(corpus), jobs, seed)
 
 
 def verify_full_suspension(max_n: int = 36, jobs: int = 1) -> VerifyOutcome:

@@ -508,6 +508,28 @@ def test_random_corpus_past_the_vertex_limit_exits_3_at_once(argv):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "vc-suspension", "--count", "1", "--max-n", "20000", "--seed", "0"],
+         "independent-set enumeration capped at n = 24, corpus has a graph with n = 12624"),
+        (["verify", "oracle", "--random", "1", "--max-n", "20000", "--exhaustive-n", "-1",
+          "--seed", "0"],
+         "brute-force counting capped at n = 26, corpus has a graph with n = 12624"),
+    ],
+)
+def test_oversized_random_graph_exits_3_before_its_edges_are_drawn(argv, message):
+    # drawing the edges would walk about 8 * 10^7 vertex pairs
+    proc = subprocess.run(
+        [sys.executable, "-m", "pgstar", *argv],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {message}\n")
+
+
 # the closed-form sweeps ship each graph and its prediction to the pool
 @pytest.mark.parametrize(
     "argv",

@@ -78,7 +78,8 @@ def test_bruteforce_cap():
 def test_engine_matches_bruteforce_exhaustively_tiny():
     from pgstar.verification import all_graphs_up_to
 
-    for g in all_graphs_up_to(5):
+    # every graph that `verify deg-via-ord` enumerates at its default
+    for g in all_graphs_up_to(6):
         assert independence_polynomial(g) == independence_polynomial_bruteforce(g)
 
 
@@ -172,14 +173,51 @@ def test_frontier_and_pivot_sides_match_bruteforce(g):
     want = independence_polynomial_bruteforce(g)
     assert independence_polynomial(g) == want
     # -1 sends every subgraph to the pivot side, n every one to the frontier
-    # side; a pack threshold of 0 keeps every frontier state a coefficient
-    # list, n packs every one into an int
-    for width in (indpoly.FRONTIER_WIDTH, -1, g.n):
+    # side in label order, 3 gives every subgraph of 5 or more vertices the
+    # greedy order; a pack threshold of 0 keeps every frontier state a
+    # coefficient list, n packs every one into an int
+    for width in (indpoly.FRONTIER_WIDTH, -1, 3, g.n):
         for pack in (0, g.n):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(indpoly, "FRONTIER_WIDTH", width)
                 patch.setattr(indpoly, "PACK_MAX_N", pack)
                 assert independence_polynomial(g) == want, (width, pack)
+
+
+def frontier_sizes(steps) -> list[int]:
+    """The frontier after each step: the later neighbours not yet processed."""
+    sizes, frontier = [], 0
+    for bit, later in steps:
+        frontier = (frontier | later) & ~bit
+        sizes.append(frontier.bit_count())
+    return sizes
+
+
+def test_small_masks_take_label_order_and_larger_ones_the_greedy_order():
+    # a path whose labels are shuffled, so label order runs along it in jumps
+    k = indpoly.FRONTIER_WIDTH + 2
+    perm = list(range(1, k + 1))
+    random.Random(3).shuffle(perm)
+    g = Graph(k, [(perm[i], perm[i + 1]) for i in range(k - 1)])
+    adj = g._adj
+    full = (1 << k) - 1
+
+    def label_order(mask):
+        return [(1 << v, adj[v] & mask & ~((2 << v) - 1)) for v in range(k) if mask >> v & 1]
+
+    # FRONTIER_WIDTH + 1 vertices: exactly the label-order steps
+    small = full & ~(1 << (perm[0] - 1))
+    assert indpoly._thin_order(adj, small) == label_order(small)
+    # one more vertex: the greedy order walks the path, where label order
+    # would hold more than 2 vertices on its frontier
+    assert max(frontier_sizes(label_order(full))) > 2
+    steps = indpoly._thin_order(adj, full)
+    assert sorted(bit for bit, _ in steps) == [1 << v for v in range(k)]
+    done = 0
+    for bit, later in steps:
+        done |= bit
+        assert later == adj[bit.bit_length() - 1] & full & ~done
+    assert max(frontier_sizes(steps)) <= 2
 
 
 def test_deep_pivots_and_long_caterpillars_finish():

@@ -206,6 +206,20 @@ def test_oracle_refuses_an_oversized_graph_before_any_check(monkeypatch):
     assert checked == []
 
 
+def test_a_size_limit_refuses_the_first_graph_past_it_and_keeps_the_rest():
+    # the 2nd graph of this corpus has 26 vertices, the 16th 27
+    sizes = [g.n for g in random_graph_corpus(40, 27, DEFAULT_SEED)]
+    assert sizes[:2] == [21, 26] and sizes.index(27) == 15
+    with pytest.raises(EnumerationLimitError, match="^x capped at n = 24, .* with n = 26$"):
+        random_graph_corpus(40, 27, DEFAULT_SEED, 24, "x")
+    with pytest.raises(EnumerationLimitError, match="^x capped at n = 26, .* with n = 27$"):
+        random_graph_corpus(40, 27, DEFAULT_SEED, 26, "x")
+    # a limit no graph passes leaves the draw as it is
+    assert random_graph_corpus(40, 27, DEFAULT_SEED, 27, "x") == random_graph_corpus(
+        40, 27, DEFAULT_SEED
+    )
+
+
 @pytest.mark.parametrize("sweep", [verification.verify_deg_via_ord, verification.verify_oracle])
 def test_exhaustive_part_is_capped_before_anything_is_built(sweep, monkeypatch):
     built = []
