@@ -365,6 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # print every integer: CPython 3.10.7+ refuses str() of one past 4300
+    # digits by default, and pool workers forked from here inherit this
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         code = args.handler(args)

@@ -213,6 +213,13 @@ class Graph:
         closes is dominated already, so every walk that reaches the end is
         a maximal set and no dead branch is explored past its closing
         vertex.  Capped at ``limit`` vertices.
+
+        The walk yields the sets ordered by their sorted members, so no
+        sort follows.  Two sets first differ at a vertex i that one of them
+        holds, and "include i" is tried before "exclude i", so that set
+        comes first; it also sorts first, because the other set's next
+        member is above i or it has none, and having none would make it a
+        proper subset of the first, which no maximal set is.
         """
         n = self._n
         if n > limit:
@@ -239,9 +246,7 @@ class Graph:
                 walk(i + 1, chosen, dominated)
 
         walk(0, 0, 0)
-        sets = [frozenset(v + 1 for v in _bits(m)) for m in found]
-        sets.sort(key=sorted)
-        return sets
+        return [frozenset(v + 1 for v in _bits(m)) for m in found]
 
     # -- dunder ------------------------------------------------------------
 

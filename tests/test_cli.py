@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -536,6 +537,7 @@ def test_oversized_random_graph_exits_3_before_its_edges_are_drawn(argv, message
     [
         ["cycles", "--max-n", "12"],
         ["paths", "--max-n", "12"],
+        ["sequences", "--max-n", "12"],
         ["multipartite", "--max-parts", "3", "--max-part-size", "3"],
         ["cameron-walker", "--count", "8", "--max-vertices", "10"],
         ["full-suspension", "--max-n", "10"],
@@ -552,6 +554,29 @@ def test_verify_output_independent_of_parallelism(argv, capsys):
     code2, out2, _ = run_cli(argv + ["--jobs", "2"], capsys)
     assert (code1, code2) == (0, 0)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_integers_past_the_str_digit_limit_are_printed(tmp_path, output):
+    # a perfect matching on 2800 vertices has P = (1 + 2x)^1400, whose largest
+    # coefficient has about 665 digits; the child allows 640 by default
+    pairs = 1400
+    path = tmp_path / "matching.txt"
+    path.write_text(
+        f"{2 * pairs} {pairs}\n" + "".join(f"{2 * i - 1} {2 * i}\n" for i in range(1, pairs + 1))
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-m", "pgstar", "compute", str(path),
+         "--output", output],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if output == "json":
+        coeffs = json.loads(proc.stdout)["independence_polynomial"]
+        assert coeffs == [str(math.comb(pairs, k) * 2**k) for k in range(pairs + 1)]
 
 
 def test_jobs_option_below_1_exits_2(capsys):

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from pgstar import families, verification
+from pgstar import analysis, families, verification
 from pgstar.analysis import analyze
 from pgstar.graphio import MAX_VERTICES
 from pgstar.graphs import (
@@ -55,6 +55,39 @@ def test_mismatches_are_reported(monkeypatch):
     assert not out.passed
     assert any("C_5" in m.instance for m in out.mismatches)
     assert all(isinstance(m, Mismatch) for m in out.mismatches)
+
+
+def test_sequences_compare_the_tables_like_every_closed_form(monkeypatch):
+    # a wrong path entry for n = 5 mod 6, where P_n(-1) is 1
+    monkeypatch.setattr(families, "_P_TABLE", (1, 0, -1, -1, 0, 2))
+    out = verification.verify_sequences(max_n=12)
+    assert out.instances == 13 + 10
+    assert out.mismatches == (
+        Mismatch("P_5 p_at_minus_one", "2", "1"),
+        Mismatch("P_11 p_at_minus_one", "2", "1"),
+    )
+
+
+@pytest.fixture
+def fresh_memo():
+    # reports memoized under a patched analysis must not outlive the patch
+    analysis._analyze_polynomial.cache_clear()
+    yield
+    analysis._analyze_polynomial.cache_clear()
+
+
+def test_deg_via_ord_reports_one_line_per_failing_graph(monkeypatch, fresh_memo):
+    profile = analysis.minus_one_profile
+    monkeypatch.setattr(
+        analysis,
+        "minus_one_profile",
+        lambda p: (prof := profile(p))._replace(multiplicity=prof.multiplicity + 1),
+    )
+    out = verification.verify_deg_via_ord(random_count=20, max_n=8, seed=5, exhaustive_n=3)
+    assert [m.instance for m in out.mismatches] == [
+        f"graph#{i} a-invariant" for i in range(out.instances)
+    ]
+    assert all(int(m.expected) == int(m.got) - 1 for m in out.mismatches)
 
 
 def test_vc_suspension_checks_the_library_case_split(monkeypatch):
@@ -135,8 +168,8 @@ def test_all_graphs_matches_the_edge_list_construction():
     [
         (verification._check_prediction,
          ("C_6", cycle_graph(6), families.predict_chain("cycle", 6))),
-        (verification._check_sequence, ("path", 7)),
-        (verification._check_sequence, ("cycle", 7)),
+        (verification._check_prediction, ("P_7", path_graph(7), {"p_at_minus_one": "0"})),
+        (verification._check_prediction, ("C_7", cycle_graph(7), {"p_at_minus_one": "1"})),
         (verification._check_vc_suspension, (0, path_graph(4))),
         (verification._check_cycle_mis_suspension, (9, MIS_ENUMERATION_LIMIT)),
         (verification._check_path_mis_suspension, (9, MIS_ENUMERATION_LIMIT)),
