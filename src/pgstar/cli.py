@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import families, verification
 from .analysis import AnalysisReport, analyze, report_to_dict
@@ -155,14 +156,33 @@ def _build_family(args) -> tuple[Graph, dict, dict]:
     return cameron_walker(spec), params, families.predict_cameron_walker(spec)
 
 
+@contextmanager
+def _every_digit():
+    """Let str() render an int of any length inside the block.
+
+    CPython 3.10.7+ stops at 4300 digits by default; the same limit makes
+    int() refuse a longer string before parsing it, so input is read
+    outside the block.  Pool workers forked inside it inherit the lift.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # -- subcommands -------------------------------------------------------------
 
 
 def cmd_compute(args) -> int:
     g = load_graph(args.input, args.format)
     rep = analyze(g)
-    payload = report_to_dict(g.n, rep)
-    _emit(payload, render_report_text(g.n, rep), args.output)
+    with _every_digit():
+        _emit(report_to_dict(g.n, rep), render_report_text(g.n, rep), args.output)
     return EXIT_OK
 
 
@@ -171,20 +191,21 @@ def _emit_compared(
 ) -> int:
     """Emit the report of an n-vertex graph after ``fields`` and ``header``,
     and, when there is a prediction, the prediction and its agreement."""
-    agreement = None
-    lines = [header, render_report_text(n, rep)]
-    if predicted is not None:
-        agreement = not verification.prediction_mismatches("", predicted, n, rep)
-        lines.append("prediction:")
-        lines.extend(f"  {k}: {v}" for k, v in predicted.items())
-        lines.append(f"agreement: {_yesno(agreement)}")
-    payload = {
-        **fields,
-        "computed": report_to_dict(n, rep),
-        "predicted": predicted,
-        "agreement": agreement,
-    }
-    _emit(payload, "\n".join(lines), output)
+    with _every_digit():
+        agreement = None
+        lines = [header, render_report_text(n, rep)]
+        if predicted is not None:
+            agreement = not verification.prediction_mismatches("", predicted, n, rep)
+            lines.append("prediction:")
+            lines.extend(f"  {k}: {v}" for k, v in predicted.items())
+            lines.append(f"agreement: {_yesno(agreement)}")
+        payload = {
+            **fields,
+            "computed": report_to_dict(n, rep),
+            "predicted": predicted,
+            "agreement": agreement,
+        }
+        _emit(payload, "\n".join(lines), output)
     return EXIT_OK
 
 
@@ -272,18 +293,19 @@ def _run_sweep(args) -> verification.VerifyOutcome:
 
 
 def cmd_verify(args) -> int:
-    outcome = _run_sweep(args)
-    if args.output == "json":
-        print(json.dumps(outcome.to_dict(), indent=2))
-    else:
-        status = "PASS" if outcome.passed else "FAIL"
-        print(
-            f"theorem {outcome.theorem}: {outcome.instances} instances, "
-            f"{len(outcome.mismatches)} mismatches -> {status}"
-            + (f" (seed {outcome.seed})" if outcome.seed is not None else "")
-        )
-        for m in outcome.mismatches:
-            print(f"  {m.instance}: expected {m.expected}, got {m.got}")
+    with _every_digit():
+        outcome = _run_sweep(args)
+        if args.output == "json":
+            print(json.dumps(outcome.to_dict(), indent=2))
+        else:
+            status = "PASS" if outcome.passed else "FAIL"
+            print(
+                f"theorem {outcome.theorem}: {outcome.instances} instances, "
+                f"{len(outcome.mismatches)} mismatches -> {status}"
+                + (f" (seed {outcome.seed})" if outcome.seed is not None else "")
+            )
+            for m in outcome.mismatches:
+                print(f"  {m.instance}: expected {m.expected}, got {m.got}")
     return EXIT_OK if outcome.passed else EXIT_MISMATCH
 
 
@@ -365,10 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # print every integer: CPython 3.10.7+ refuses str() of one past 4300
-    # digits by default, and pool workers forked from here inherit this
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         code = args.handler(args)

@@ -214,12 +214,10 @@ class Graph:
         a maximal set and no dead branch is explored past its closing
         vertex.  Capped at ``limit`` vertices.
 
-        The walk yields the sets ordered by their sorted members, so no
-        sort follows.  Two sets first differ at a vertex i that one of them
-        holds, and "include i" is tried before "exclude i", so that set
-        comes first; it also sorts first, because the other set's next
-        member is above i or it has none, and having none would make it a
-        proper subset of the first, which no maximal set is.
+        The walk already yields the sets ordered by sorted members: at the
+        first vertex i where two differ, "include i" is tried first, and
+        the set without i has a later member, since a maximal set is never
+        a proper subset (hence a prefix) of another.
         """
         n = self._n
         if n > limit:

@@ -420,16 +420,16 @@ def _chain_graphs(kind: str, ns: Iterable[int]) -> Iterator[tuple[int, str, Grap
 
 def verify_cycles(max_n: int = 40, jobs: int = 1) -> VerifyOutcome:
     items = (
-        (name, g, families.predict_chain("cycle", n))
-        for n, name, g in _chain_graphs("cycle", range(3, max_n + 1))
+        (f"C_{n}", cycle_graph(n), families.predict_chain("cycle", n))
+        for n in range(3, max_n + 1)
     )
     return _gather("cycles", _check_prediction, items, jobs)
 
 
 def verify_paths(max_n: int = 40, jobs: int = 1) -> VerifyOutcome:
     items = (
-        (name, g, families.predict_chain("path", n))
-        for n, name, g in _chain_graphs("path", range(0, max_n + 1))
+        (f"P_{n}", path_graph(n), families.predict_chain("path", n))
+        for n in range(0, max_n + 1)
     )
     return _gather("paths", _check_prediction, items, jobs)
 

@@ -579,6 +579,31 @@ def test_integers_past_the_str_digit_limit_are_printed(tmp_path, output):
         assert coeffs == [str(math.comb(pairs, k) * 2**k) for k in range(pairs + 1)]
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{digits} 0\n", "error: line 1: expected header 'n m', got "),
+        ("1 {digits}\n", "error: line 1: expected header 'n m', got "),
+        ("2 1\n1 {digits}\n", "error: line 2: expected edge 'u v', got "),
+    ],
+    ids=["n", "m", "edge"],
+)
+def test_a_field_past_the_str_digit_limit_is_refused_unparsed(
+    tmp_path, c6_file, capsys, text, message
+):
+    # the limit that output rendering lifts still guards input: int() refuses
+    # the field before it spends quadratic time on it, also after a render
+    limit = sys.get_int_max_str_digits()
+    assert run_cli(["compute", c6_file, "--output", "json"], capsys)[0] == 0
+    path = tmp_path / "huge.txt"
+    path.write_text(text.format(digits="9" * 100_000))
+    code, out, err = run_cli(["compute", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_jobs_option_below_1_exits_2(capsys):
     code, out, err = run_cli(["verify", "cycles", "--max-n", "5", "--jobs", "0"], capsys)
     assert (code, out, err) == (2, "", "error: parallelism degree must be >= 1\n")
