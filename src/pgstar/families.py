@@ -12,7 +12,7 @@ routes independent.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import CameronWalkerSpec
 from .polynomials import IntPolynomial
@@ -150,7 +150,7 @@ class PathSuspensionParams(_PathSuspensionFields):
         return self.c - self.ell - 1 + self.delta
 
 
-def path_mis_susp_params(n: int, members: frozenset[int]) -> PathSuspensionParams:
+def path_mis_susp_params(n: int, members: Iterable[int]) -> PathSuspensionParams:
     """Derive the gap statistics of a maximal independent set of a path."""
     if n < 1:
         raise ValueError("path must be nonempty")
@@ -170,7 +170,7 @@ def path_mis_susp_params(n: int, members: frozenset[int]) -> PathSuspensionParam
     )
 
 
-def cycle_mis_susp_params(n: int, members: frozenset[int]) -> CycleSuspensionParams:
+def cycle_mis_susp_params(n: int, members: Iterable[int]) -> CycleSuspensionParams:
     """Size statistics of a maximal independent set of a cycle."""
     picks = sorted(members)
     # members 2 or 3 apart as on a path, the last gap wrapping around

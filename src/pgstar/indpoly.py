@@ -12,28 +12,46 @@ two sides:
   processed vertices) may never hold more vertices than that.  If it
   never does (the order's vertex separation is within the width), a loop
   over the order counts independent sets with one state per set of
-  blocked frontier vertices, so at most 2^FRONTIER_WIDTH states.  A
-  subgraph of k <= FRONTIER_WIDTH + 1 vertices takes its vertices in
-  ascending label order with no search: after the first step at most
-  k - 1 <= FRONTIER_WIDTH vertices are unprocessed, and the frontier lies
-  among them, so every such subgraph reaches this side with at most
-  2^(k-1) states per step.  No search could change that side: an order's
-  largest frontier is its vertex separation, whose least value over all
-  orders is the pathwidth (Kinnersley, 1992), and no order of k vertices
-  has more than k - 1.  A larger subgraph gets a greedy order: it starts
-  at a minimum-degree vertex, then keeps taking the frontier vertex that
-  adds the fewest new frontier vertices, ties going to fewer unprocessed
-  neighbours; when the frontier empties it restarts at a minimum-degree
-  unprocessed vertex.
-  The greedy ordering stops as soon as the frontier outgrows the width,
-  so a wide subgraph costs little more than its first steps.  On a
-  subgraph of k <= ``PACK_MAX_N`` vertices a state is one int, its counts
-  evaluated at x = 2^k (Kronecker substitution): the sets of one size
-  among k vertices number below 2^k, so no k-bit slot carries, a join is
-  one shift and a merge one addition.  A larger subgraph keeps one
-  coefficient list per state, because every step would copy ints of
-  k * alpha / 2 bits.  Paths and cycles have width 2; ladders,
-  caterpillars and 4 x k grids stay within the width at any length.
+  blocked frontier vertices, so at most 2^FRONTIER_WIDTH states.  The
+  order's largest frontier is its vertex separation, whose least value
+  over all orders is the pathwidth (Kinnersley, 1992).  Three rules pick
+  the order, the first that applies:
+
+  1. A subgraph of k <= FRONTIER_WIDTH + 1 vertices takes its vertices in
+     ascending label order with no search: after the first step at most
+     k - 1 <= FRONTIER_WIDTH vertices are unprocessed, and the frontier
+     lies among them, so every such subgraph reaches this side with at
+     most 2^(k-1) states per step.  No search could change that side: no
+     order of k vertices has a frontier of more than k - 1.
+  2. A larger subgraph is walked in label order, and keeps it if the
+     frontier never holds more than min(delta + 1, FRONTIER_WIDTH)
+     vertices, delta the least degree in the subgraph.  No order can do
+     much better: every order's first vertex puts all of its neighbours
+     on the frontier, so no order keeps the frontier below delta
+     (pathwidth >= treewidth >= delta), and the kept order's bound of
+     2^(delta+1) states per step is at most twice the best any order can
+     have.  The walk tracks the least degree d of the vertices it has
+     taken and stops once the frontier has held more than
+     min(d + 1, FRONTIER_WIDTH) vertices.  Stopping early is safe: d
+     never drops below delta, so the whole walk would fail too.  Paths
+     and cycles, their suspensions over a maximal independent set and
+     their cones keep label order this way.
+  3. Otherwise the subgraph gets a greedy order: it starts at a
+     minimum-degree vertex, then keeps taking the frontier vertex that
+     adds the fewest new frontier vertices, ties going to fewer
+     unprocessed neighbours; when the frontier empties it restarts at a
+     minimum-degree unprocessed vertex.
+
+  The walk and the greedy order stop as soon as the frontier outgrows
+  their bound, so a wide subgraph costs little more than its first
+  steps.  On a subgraph of k <= ``PACK_MAX_N`` vertices a state is one
+  int, its counts evaluated at x = 2^k (Kronecker substitution): the
+  sets of one size among k vertices number below 2^k, so no k-bit slot
+  carries, a join is one shift and a merge one addition.  A larger
+  subgraph keeps one coefficient list per state, because every step
+  would copy ints of k * alpha / 2 bits.  Paths and cycles have width 2;
+  ladders, caterpillars and 4 x k grids stay within the width at any
+  length.
 - *Pivot side* (everything else).  The subgraph splits into connected
   components, whose polynomials multiply, and a connected one uses
   P(G) = P(G - v) + x * P(G - N[v]) at a maximum-degree vertex v.  Each
@@ -52,14 +70,16 @@ from .polynomials import ONE, IntPolynomial
 BRUTE_FORCE_LIMIT = 26
 
 # Largest frontier the frontier side accepts: its loop holds up to
-# 2^FRONTIER_WIDTH states.  It also decides where the greedy order search
-# starts: a subgraph of at most FRONTIER_WIDTH + 1 vertices always fits
-# and takes label order (see _thin_order).  On G(80, 0.1) (2 cores,
-# CPython 3.11) widths 8 to 12 took 2.1-2.2 s, 6 and 14 2.7 s, 4 and 18
-# about 4 s.  Seed 2 takes 1.24 s with the label-order branch and 1.20 s
-# without it (medians of 12 alternating runs, quartiles 0.88-1.34 and
-# 1.03-1.26 s): its frontier subgraphs have 32 to 53 vertices bar 19 of
-# at most 3, so the branch leaves its 1 404 083 state visits as they are.
+# 2^FRONTIER_WIDTH states.  It also decides where the order search starts:
+# a subgraph of at most FRONTIER_WIDTH + 1 vertices always fits and takes
+# label order, and it caps the bound of the label-order walk on larger
+# ones (see _thin_order).  On G(80, 0.1) (2 cores, CPython 3.11) widths 8
+# to 12 took 2.1-2.2 s, 6 and 14 2.7 s, 4 and 18 about 4 s.  Seed 2 takes
+# 1.24 s with the label-order branch and 1.20 s without it (medians of 12
+# alternating runs, quartiles 0.88-1.34 and 1.03-1.26 s): its frontier
+# subgraphs have 32 to 53 vertices bar 19 of at most 3, so the branch
+# leaves its 1 404 083 state visits as they are, and so does the
+# label-order walk, which gives up on every larger one.
 FRONTIER_WIDTH = 10
 
 # Largest frontier subgraph whose states are packed into one int each
@@ -79,7 +99,10 @@ def _thin_order(adj: Sequence[int], mask: int) -> list[tuple[int, int]] | None:
     A mask of k <= FRONTIER_WIDTH + 1 vertices is taken in ascending label
     order: after its first step at most k - 1 vertices are unprocessed, so
     the frontier fits the width and the loop holds at most 2^(k-1) states.
-    A larger mask gets the greedy order of the module docstring.
+    A larger mask keeps label order if its frontier stays within
+    min(least degree + 1, FRONTIER_WIDTH), which no order beats by more
+    than one vertex, and gets the greedy order otherwise (rules 2 and 3 of
+    the module docstring).
     """
     width = FRONTIER_WIDTH
     steps = []
@@ -90,6 +113,30 @@ def _thin_order(adj: Sequence[int], mask: int) -> list[tuple[int, int]] | None:
             rest ^= bit
             steps.append((bit, adj[bit.bit_length() - 1] & rest))
         return steps
+    # label order, kept if its largest frontier is at most the least degree
+    # + 1; the least degree seen only falls, so a walk whose frontier has
+    # passed it + 1 has passed the final bound too
+    least = width - 1
+    frontier = peak = 0
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        around = adj[bit.bit_length() - 1]
+        degree = (around & mask).bit_count()
+        if degree < least:
+            least = degree
+        later = around & rest
+        frontier = (frontier | later) & rest
+        size = frontier.bit_count()
+        if size > peak:
+            peak = size
+        if peak > least + 1:
+            break
+        steps.append((bit, later))
+    else:
+        return steps
+    steps = []
+    rest = mask
     frontier = 0
     floor = 0
     while rest:
@@ -209,9 +256,9 @@ def _packed_frontier_polynomial(steps: list[tuple[int, int]]) -> IntPolynomial:
 def independence_polynomial(g: Graph) -> IntPolynomial:
     """Coefficient of x^i counts the independent sets of size i.
 
-    Each subgraph goes to the frontier side when its greedy order stays
-    within ``FRONTIER_WIDTH`` and is split and pivoted otherwise (see the
-    module docstring).  No state survives between calls.
+    Each subgraph goes to the frontier side when ``_thin_order`` finds it
+    an order within ``FRONTIER_WIDTH`` and is split and pivoted otherwise
+    (see the module docstring).  No state survives between calls.
     """
     adj = g._adj
     root = (1 << g.n) - 1

@@ -30,6 +30,7 @@ from .graphs import (
     CameronWalkerSpec,
     EnumerationLimitError,
     Graph,
+    _bits,
     _from_masks,
     cameron_walker,
     complete_multipartite,
@@ -53,9 +54,12 @@ CW_MAX_SIDE = 3
 CW_MAX_LEAVES = 2
 CW_MAX_TRIANGLES = 2
 # Largest n whose every labelled graph a mixed corpus takes in.  There are
-# sum over n <= k of 2^C(n, 2) of them: 2 131 020 at k = 7 and 270 566 476
-# at k = 8.  A pool lists them first, at about 236 bytes each, so about
-# 0.5 GB at k = 7 and 64 GB at k = 8.
+# sum over n <= k of 2^C(n, 2) of them: 33 868 at k = 6, 2 131 020 at k = 7
+# and 270 566 476 at k = 8.  A pool lists them first.  `verify deg-via-ord
+# --random 0 --exhaustive-n 6` peaks at 14.6 MB RSS at --jobs 1 and 31.0 MB
+# at --jobs 2 (CPython 3.11, 2 cores), about 500 bytes per listed graph;
+# k = 7 peaked at 860 MB at --jobs 2, and k = 8 would need some 135 GB.
+# ROADMAP.md item 6 (feeding the pool in bounded windows) removes the list.
 EXHAUSTIVE_MAX_N = 7
 
 
@@ -330,15 +334,21 @@ def _check_vc_suspension(item: tuple[int, Graph]) -> tuple[Mismatch, ...]:
     return tuple(out)
 
 
-def _structure_mismatch(name: str, h: Graph, c: int, ell: int) -> tuple[Mismatch, ...]:
-    # removing the apex closed neighborhood must leave ell disjoint edges
-    # plus isolated vertices; h has c + ell vertices by construction
-    if h.edge_count() != ell or any(h.degree(v) > 1 for v in h.vertices):
+def _structure_mismatch(name: str, gz: Graph, c: int, ell: int) -> tuple[Mismatch, ...]:
+    # removing the apex's closed neighborhood must leave ell disjoint edges
+    # plus isolated vertices, c + ell vertices by construction; read off the
+    # suspension's masks, with no leftover graph built
+    adj = gz._adj
+    apex = gz.n - 1
+    left = ((1 << apex) - 1) & ~adj[apex]
+    degrees = [(adj[v] & left).bit_count() for v in _bits(left)]
+    edges = sum(degrees) // 2
+    if edges != ell or max(degrees, default=0) > 1:
         return (
             Mismatch(
                 f"{name} leftover structure",
                 f"{ell} disjoint edges + {c - ell} isolated vertices",
-                f"n={h.n}, edges={h.edge_count()}",
+                f"n={len(degrees)}, edges={edges}",
             ),
         )
     return ()
@@ -349,16 +359,17 @@ def _check_cycle_mis_suspension(item: tuple[int, int]) -> tuple[Mismatch, ...]:
     g = cycle_graph(n)
     out = []
     for members in g.maximal_independent_sets(limit):
-        name = f"C_{n} susp over {sorted(members)}"
-        predicted = families.predict_mis_suspension(families.cycle_mis_susp_params(n, members))
+        picks = sorted(members)
+        name = f"C_{n} susp over {picks}"
+        predicted = families.predict_mis_suspension(families.cycle_mis_susp_params(n, picks))
         predicted["multiplicity"] = 0
         if n == 3:
             predicted["independence_polynomial"] = ["1", "4", "2"]
             predicted["h_polynomial"] = ["1", "2", "-1"]
-        gz = suspension(g, members)
+        gz = suspension(g, picks)
         out.extend(prediction_mismatches(name, predicted, gz.n, analyze(gz)))
-        c = len(members)
-        out.extend(_structure_mismatch(name, gz.delete_closed_neighborhood(gz.n), c, n - 2 * c))
+        c = len(picks)
+        out.extend(_structure_mismatch(name, gz, c, n - 2 * c))
     return tuple(out)
 
 
@@ -367,19 +378,20 @@ def _check_path_mis_suspension(item: tuple[int, int]) -> tuple[Mismatch, ...]:
     g = path_graph(n)
     out = []
     for members in g.maximal_independent_sets(limit):
-        name = f"P_{n} susp over {sorted(members)}"
-        params = families.path_mis_susp_params(n, members)
+        picks = sorted(members)
+        name = f"P_{n} susp over {picks}"
+        params = families.path_mis_susp_params(n, picks)
         canonical = frozenset(range(1, n + 1, 3)) if n % 3 == 1 else frozenset()
         if (params.e == 0) != (members == canonical):
             out.append(
                 Mismatch(
                     f"{name} e=0 detection",
                     f"e==0 iff set == {sorted(canonical)}",
-                    f"e={params.e}, set={sorted(members)}",
+                    f"e={params.e}, set={picks}",
                 )
             )
         predicted = families.predict_mis_suspension(params)
-        gz = suspension(g, members)
+        gz = suspension(g, picks)
         rep = analyze(gz)
         out.extend(prediction_mismatches(name, predicted, gz.n, rep))
         if not predicted["a_invariant_zero"] and rep.a_invariant >= 0:

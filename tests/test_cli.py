@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pgstar
 from pgstar import cli
-from pgstar.cli import main
+from pgstar.cli import EXIT_LIMIT, EXIT_USAGE, main
 from pgstar.graphio import MAX_EDGES, MAX_VERTICES, parse_edge_list
 from pgstar.verification import SWEEPS
 
@@ -679,3 +684,98 @@ def test_closed_stdout_exits_0_quietly(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert err == b""
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+# labels and counts reach past 12 only to be refused: no input builds a
+# graph of more than 12 vertices, and no sweep size passes 5, so every
+# example runs in milliseconds
+JUNK = st.sampled_from(["99999999999999999999", "1.5", "x", ""])
+FUZZ_NUMBERS = st.integers(-2, 13).map(str) | JUNK
+SWEEP_NUMBERS = st.integers(-2, 5).map(str) | JUNK
+
+
+@st.composite
+def malformed_edge_lists(draw):
+    """Edge-list text near the format: a header of up to 12 vertices, then
+    edge lines; any line may be junk, a comment or blank."""
+    n = draw(st.integers(0, 12))
+    m = draw(st.integers(0, 8))
+    ends = st.integers(-1, n + 1).map(str)
+    edges = draw(st.integers(0, m + 1))
+    lines = [f"{n} {m}", *(f"{draw(ends)} {draw(ends)}" for _ in range(edges))]
+    junk = st.lists(FUZZ_NUMBERS, max_size=3).map(" ".join) | st.sampled_from(["#", "# c"])
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(junk))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def malformed_graph6(draw):
+    """graph6 text of up to 12 vertices whose body may have the wrong length
+    or bytes outside the format."""
+    n = draw(st.integers(0, 12))
+    length = max(0, (n * (n - 1) // 2 + 5) // 6 + draw(st.integers(-1, 1)))
+    byte = st.characters(min_codepoint=63, max_codepoint=126) | st.sampled_from(" !\n\x7f")
+    size = draw(st.sampled_from([chr(63 + n), chr(63 + n), "!", "~", ""]))
+    prefix = draw(st.sampled_from(["", ">>graph6<<"]))
+    return prefix + size + "".join(draw(st.lists(byte, min_size=length, max_size=length)))
+
+
+FUZZ_COMMANDS = {
+    "compute": ["FILE", "--format", "--output"],
+    "family": ["path", "cycle", "multipartite", "cameron-walker", "--n", "--parts",
+               "--core-x", "--core-y", "--core-edges", "--leaves", "--triangles", "--output"],
+    "suspend": ["--input", "FILE", "--family", "path", "cycle", "--n", "--parts", "--set",
+                "--full", "--format", "--output"],
+    "verify": [*SWEEPS, "--max-n", "--random", "--count", "--max-parts", "--max-part-size",
+               "--max-vertices", "--exhaustive-n", "--enum-cap", "--seed", "--output"],
+}
+FUZZ_WORDS = st.sampled_from(
+    ["json", "text", "auto", "edge-list", "graph6", "1,2", "2,3", "1:1,2:1", "1,-1", ",", "--",
+     "-h"]
+)
+# a sweep's sizes come first, so a sweep stays small unless a fragment
+# after them sets one, to at most 5
+SMALL_SWEEP = ["--max-n", "5", "--random", "3", "--count", "3", "--exhaustive-n", "3",
+               "--max-parts", "2", "--max-part-size", "3", "--max-vertices", "8"]
+
+
+@st.composite
+def fuzz_argvs(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    numbers = SWEEP_NUMBERS if command == "verify" else FUZZ_NUMBERS
+    fragment = st.sampled_from(FUZZ_COMMANDS[command]) | FUZZ_WORDS | numbers
+    lead = SMALL_SWEEP if command == "verify" else []
+    return [command, *lead, *draw(st.lists(fragment, max_size=6))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    argv=fuzz_argvs(),
+    text=malformed_edge_lists() | malformed_graph6(),
+    suffix=st.sampled_from([".txt", ".g6"]),
+)
+def test_fuzzed_command_lines_exit_with_a_documented_code(argv, text, suffix):
+    """Any command line, over any input file, ends in exit 0, 1, 2 or 3,
+    with one ``error:`` line on stderr for 2 and 3 and no traceback."""
+    with contextlib.ExitStack() as stack:
+        folder = stack.enter_context(tempfile.TemporaryDirectory())
+        path = Path(folder, "g" + suffix)
+        path.write_text(text)
+        argv = [str(path) if arg == "FILE" else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        patch = stack.enter_context(pytest.MonkeyPatch.context())
+        patch.delenv("PGSTAR_JOBS", raising=False)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse exits 0 after --help and 2 on a usage error
+            code = exc.code
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert code in (0, 1, EXIT_USAGE, EXIT_LIMIT), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert len(errors) == (code in (EXIT_USAGE, EXIT_LIMIT)), (argv, err.getvalue())

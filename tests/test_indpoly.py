@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import pytest
@@ -163,25 +163,58 @@ def solver_cases(draw):
         g = suspension(base, draw(st.sets(st.integers(1, base.n), min_size=1)))
     else:
         g = draw(graphs(max_n=14))
-    perm = draw(st.permutations(range(1, g.n + 1)))
-    return Graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges()])
+    return relabelled(g, draw(st.permutations(range(1, g.n + 1))))
 
 
-@settings(max_examples=250, deadline=None)
-@given(solver_cases())
-def test_frontier_and_pivot_sides_match_bruteforce(g):
+def assert_every_side(g):
+    """The engine agrees with brute force on g whichever side and kernel
+    each subgraph takes."""
     want = independence_polynomial_bruteforce(g)
     assert independence_polynomial(g) == want
     # -1 sends every subgraph to the pivot side, n every one to the frontier
-    # side in label order, 3 gives every subgraph of 5 or more vertices the
-    # greedy order; a pack threshold of 0 keeps every frontier state a
-    # coefficient list, n packs every one into an int
+    # side in label order, 3 sends every subgraph of 5 or more vertices
+    # through the label-order walk and on to the greedy order once that
+    # walk's frontier passes its least degree + 1 or 3; a pack threshold of
+    # 0 keeps every frontier state a coefficient list, n packs every one
+    # into an int
     for width in (indpoly.FRONTIER_WIDTH, -1, 3, g.n):
         for pack in (0, g.n):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(indpoly, "FRONTIER_WIDTH", width)
                 patch.setattr(indpoly, "PACK_MAX_N", pack)
                 assert independence_polynomial(g) == want, (width, pack)
+
+
+@settings(max_examples=250, deadline=None)
+@given(solver_cases())
+def test_frontier_and_pivot_sides_match_bruteforce(g):
+    assert_every_side(g)
+
+
+def first_mis(g):
+    return g.maximal_independent_sets()[0]
+
+
+# unrelabelled, so masks above FRONTIER_WIDTH + 1 vertices keep the label
+# order that the relabelled cases above rarely do
+@pytest.mark.parametrize(
+    "g",
+    [
+        path_graph(12),
+        cycle_graph(20),
+        disjoint_union(path_graph(7), cycle_graph(9)),
+        grid(2, 6),
+        grid(2, 10),
+        grid(3, 6),
+        suspension(cycle_graph(16), first_mis(cycle_graph(16))),
+        suspension(path_graph(18), first_mis(path_graph(18))),
+        suspension(path_graph(14), range(1, 15)),
+        suspension(cycle_graph(13), range(1, 14)),
+    ],
+    ids=lambda g: f"n{g.n}e{g.edge_count()}",
+)
+def test_unrelabelled_graphs_above_the_label_order_threshold_match_bruteforce(g):
+    assert_every_side(g)
 
 
 def frontier_sizes(steps) -> list[int]:
@@ -193,31 +226,161 @@ def frontier_sizes(steps) -> list[int]:
     return sizes
 
 
-def test_small_masks_take_label_order_and_larger_ones_the_greedy_order():
-    # a path whose labels are shuffled, so label order runs along it in jumps
-    k = indpoly.FRONTIER_WIDTH + 2
-    perm = list(range(1, k + 1))
-    random.Random(3).shuffle(perm)
-    g = Graph(k, [(perm[i], perm[i + 1]) for i in range(k - 1)])
-    adj = g._adj
-    full = (1 << k) - 1
+def label_order(adj, mask):
+    """The steps of ``mask`` in ascending label order."""
+    return [(1 << v, adj[v] & mask & ~((2 << v) - 1)) for v in range(len(adj)) if mask >> v & 1]
 
-    def label_order(mask):
-        return [(1 << v, adj[v] & mask & ~((2 << v) - 1)) for v in range(k) if mask >> v & 1]
 
-    # FRONTIER_WIDTH + 1 vertices: exactly the label-order steps
-    small = full & ~(1 << (perm[0] - 1))
-    assert indpoly._thin_order(adj, small) == label_order(small)
-    # one more vertex: the greedy order walks the path, where label order
-    # would hold more than 2 vertices on its frontier
-    assert max(frontier_sizes(label_order(full))) > 2
-    steps = indpoly._thin_order(adj, full)
-    assert sorted(bit for bit, _ in steps) == [1 << v for v in range(k)]
+def assert_greedy_order(adj, mask):
+    """``_thin_order`` of ``mask`` is not label order, takes every vertex
+    once, and each step's later neighbours are those not yet taken."""
+    steps = indpoly._thin_order(adj, mask)
+    assert steps != label_order(adj, mask)
+    assert sorted(bit for bit, _ in steps) == [1 << v for v in range(len(adj)) if mask >> v & 1]
     done = 0
     for bit, later in steps:
         done |= bit
-        assert later == adj[bit.bit_length() - 1] & full & ~done
-    assert max(frontier_sizes(steps)) <= 2
+        assert later == adj[bit.bit_length() - 1] & mask & ~done
+    return steps
+
+
+def relabelled(g, perm):
+    """g with vertex v renamed perm[v - 1]."""
+    return Graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges()])
+
+
+def shuffled(k, seed):
+    perm = list(range(1, k + 1))
+    random.Random(seed).shuffle(perm)
+    return perm
+
+
+def test_small_masks_take_label_order_and_larger_ones_the_greedy_order():
+    # a path whose labels are shuffled, so label order runs along it in jumps
+    k = indpoly.FRONTIER_WIDTH + 2
+    perm = shuffled(k, 3)
+    adj = relabelled(path_graph(k), perm)._adj
+    full = (1 << k) - 1
+    # FRONTIER_WIDTH + 1 vertices: exactly the label-order steps
+    small = full & ~(1 << (perm[0] - 1))
+    assert indpoly._thin_order(adj, small) == label_order(adj, small)
+    # one more vertex: label order holds more than least degree + 1 = 2
+    # vertices on its frontier, so the greedy order walks the path
+    assert max(frontier_sizes(label_order(adj, full))) > 2
+    assert max(frontier_sizes(assert_greedy_order(adj, full))) <= 2
+
+
+@pytest.mark.parametrize("rungs", [6, 8, 10])
+def test_relabelled_ladders_take_the_greedy_order(rungs):
+    # least degree 2, and label order along jumps holds more than 3
+    g = relabelled(grid(2, rungs), shuffled(2 * rungs, rungs))
+    adj = g._adj
+    full = (1 << g.n) - 1
+    assert max(frontier_sizes(label_order(adj, full))) > 3
+    assert max(frontier_sizes(assert_greedy_order(adj, full))) <= 3
+
+
+def test_label_order_one_vertex_past_the_bound_is_refused():
+    # a path run 3 1 5 2 4 6 7 ... 12: label order's frontier peaks at 3,
+    # one past least degree + 1
+    run = [3, 1, 5, 2, 4, 6, 7, 8, 9, 10, 11, 12]
+    g = Graph(12, zip(run, run[1:]))
+    full = (1 << 12) - 1
+    assert max(frontier_sizes(label_order(g._adj, full))) == 3
+    assert_greedy_order(g._adj, full)
+    # K_4 on 1..4, then a tail 4 5 ... 12: the frontier holds 3 at the
+    # first step and at most 1 after it, but the leaf 12 comes last and
+    # brings the bound down to 2
+    g = Graph(12, [*combinations(range(1, 5), 2), *((v, v + 1) for v in range(4, 12))])
+    assert max(frontier_sizes(label_order(g._adj, full))) == 3
+    assert_greedy_order(g._adj, full)
+
+
+def test_the_width_caps_the_label_order_bound():
+    # least degree 11, so only the width refuses label order's frontier of
+    # 11, and no other order does better
+    k = indpoly.FRONTIER_WIDTH + 2
+    g = Graph(k, combinations(range(1, k + 1), 2))
+    assert indpoly._thin_order(g._adj, (1 << k) - 1) is None
+
+
+def mis_suspensions():
+    """Every suspension ``verify cycle-mis-suspension`` and
+    ``path-mis-suspension`` build at ``--max-n 24``."""
+    for build, ns in ((cycle_graph, range(3, 25)), (path_graph, range(2, 25))):
+        for n in ns:
+            g = build(n)
+            for members in g.maximal_independent_sets():
+                yield suspension(g, members)
+
+
+def cones(ns):
+    for n in ns:
+        yield suspension(cycle_graph(n), range(1, n + 1))
+        yield suspension(path_graph(n), range(1, n + 1))
+
+
+def test_mis_suspensions_and_cones_take_label_order():
+    # their frontier in label order stays within least degree + 1: the apex
+    # and at most two chain vertices
+    above = 0
+    for g in chain(mis_suspensions(), cones(range(12, 25))):
+        full = (1 << g.n) - 1
+        assert indpoly._thin_order(g._adj, full) == label_order(g._adj, full)
+        above += g.n > indpoly.FRONTIER_WIDTH + 1
+    assert above > 6000
+
+
+def state_visits(graphs) -> int:
+    """The frontier states the engine visits on ``graphs``, one per state
+    per step: each kernel's steps replayed over sets of blocked vertices."""
+    visits = 0
+
+    def counted(kernel):
+        def replay(steps):
+            nonlocal visits
+            states = {0}
+            for bit, later in steps:
+                visits += len(states)
+                new = set()
+                for blocked in states:
+                    if blocked & bit:
+                        blocked ^= bit
+                    else:
+                        new.add(blocked | later)
+                    new.add(blocked)
+                states = new
+            return kernel(steps)
+
+        return replay
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_frontier_polynomial", "_packed_frontier_polynomial"):
+            patch.setattr(indpoly, name, counted(getattr(indpoly, name)))
+        for g in graphs:
+            independence_polynomial(g)
+    return visits
+
+
+def gnp(n, p, seed):
+    rng = random.Random(seed)
+    return Graph(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p])
+
+
+# exact work on the benchmark's inputs, so an order that costs more states
+# fails here before it shows in a timing
+def test_state_visits_on_mis_suspensions():
+    assert state_visits(mis_suspensions()) == 648_604
+
+
+def test_state_visits_on_long_chains():
+    assert state_visits([path_graph(900), cycle_graph(600)]) == 4_191
+
+
+def test_state_visits_on_a_wide_random_graph():
+    # the label-order walk gives up early on every mask, so the greedy
+    # order and the pivots do the same work as without it
+    assert state_visits([gnp(80, 0.1, 2)]) == 1_404_083
 
 
 def test_deep_pivots_and_long_caterpillars_finish():

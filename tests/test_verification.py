@@ -10,7 +10,9 @@ from pgstar.graphs import (
     EnumerationLimitError,
     Graph,
     cycle_graph,
+    disjoint_union,
     path_graph,
+    suspension,
 )
 from pgstar.indpoly import BRUTE_FORCE_LIMIT
 from pgstar.verification import (
@@ -289,3 +291,19 @@ def test_independent_sets_walk_matches_subset_filter():
             if g.is_independent(c)
         ]
         assert list(verification._independent_sets(g)) == want
+
+
+def test_leftover_structure_is_read_off_the_suspension():
+    g = cycle_graph(6)
+    # over {1, 4}, C_6 leaves the edges 2-3 and 5-6
+    assert verification._structure_mismatch("s", suspension(g, [1, 4]), 2, 2) == ()
+    # over {1}, the path 2..6: 5 vertices and 4 edges
+    assert verification._structure_mismatch("s", suspension(g, [1]), 2, 2) == (
+        Mismatch("s leftover structure", "2 disjoint edges + 0 isolated vertices", "n=5, edges=4"),
+    )
+    # P_3 plus an isolated vertex: the right edge count, but one vertex of
+    # degree 2
+    base = disjoint_union(path_graph(3), Graph(2))
+    assert verification._structure_mismatch("s", suspension(base, [4]), 2, 2) == (
+        Mismatch("s leftover structure", "2 disjoint edges + 0 isolated vertices", "n=4, edges=2"),
+    )
