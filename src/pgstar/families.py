@@ -24,6 +24,8 @@ NEVER_PG_STAR = "never-pg-star"
 
 _P_TABLE = (1, 0, -1, -1, 0, 1)
 _C_TABLE = (2, 1, -1, -2, -1, 1)
+_A_TABLE = (2, 1, 1, 2, -1, 1, -2, -1, -1, -2, 1, -1)
+_B_TABLE = (1, 0, 1, -1, 0, -1, -1, 0, -1, 1, 0, 1)
 
 
 def _check_cycle(n: int) -> None:
@@ -47,26 +49,14 @@ def c_value(n: int) -> int:
 def a_value(n: int) -> int:
     """(-1)^floor(n/2) * c_value(n), periodic mod 12."""
     _check_cycle(n)
-    r = n % 12
-    if r in (1, 2, 5, 10):
-        return 1
-    if r in (4, 7, 8, 11):
-        return -1
-    if r in (0, 3):
-        return 2
-    return -2  # r in (6, 9)
+    return _A_TABLE[n % 12]
 
 
 def b_value(n: int) -> int:
     """(-1)^ceil(n/2) * p_value(n), periodic mod 12."""
     if n < 0:
         raise ValueError("path length must be nonnegative")
-    r = n % 12
-    if r in (0, 2, 9, 11):
-        return 1
-    if r in (3, 5, 6, 8):
-        return -1
-    return 0  # r in (1, 4, 7, 10)
+    return _B_TABLE[n % 12]
 
 
 def multipartite_closed_poly(parts: Sequence[int]) -> IntPolynomial:

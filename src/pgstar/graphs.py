@@ -109,47 +109,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self._adj) // 2
 
-    # -- induced subgraphs ------------------------------------------------
-
-    def induced_subgraph(self, keep: Iterable[int]) -> "Graph":
-        """Induced subgraph on ``keep``.
-
-        Surviving vertices are relabeled 1..k preserving their original
-        order.
-        """
-        mask = 0
-        for v in keep:
-            self._check_vertex(v)
-            mask |= 1 << (v - 1)
-        return self._induced(mask)
-
-    def delete_closed_neighborhood(self, v: int) -> "Graph":
-        """Induced subgraph on V - N[v], relabeled order-preservingly."""
-        self._check_vertex(v)
-        closed = self._adj[v - 1] | (1 << (v - 1))
-        return self._induced(((1 << self._n) - 1) & ~closed)
-
-    def _induced(self, keep: int) -> "Graph":
-        # each kept vertex's bit maps to the bit of its new label, in label
-        # order; the bit loops are inline, as in ``mask_components``
-        new_bit = {}
-        m = keep
-        while m:
-            b = m & -m
-            m ^= b
-            new_bit[b] = 1 << len(new_bit)
-        adj = self._adj
-        rows = []
-        for b in new_bit:
-            m = adj[b.bit_length() - 1] & keep
-            row = 0
-            while m:
-                c = m & -m
-                m ^= c
-                row |= new_bit[c]
-            rows.append(row)
-        return _from_masks(rows)
-
     # -- set predicates ----------------------------------------------------
 
     def _set_mask(self, s: Iterable[int]) -> int:
@@ -297,17 +256,13 @@ def complete_multipartite(parts: Sequence[int]) -> Graph:
         raise ValueError("need at least one part")
     if any(p < 1 for p in parts):
         raise ValueError("every part must have at least one vertex")
-    bounds = [0]
+    # each vertex is adjacent to every vertex outside its own part, and the
+    # next part starts at bit len(adj)
+    full = (1 << sum(parts)) - 1
+    adj = []
     for p in parts:
-        bounds.append(bounds[-1] + p)
-    n = bounds[-1]
-    edges = []
-    for a in range(len(parts)):
-        for b in range(a + 1, len(parts)):
-            for u in range(bounds[a] + 1, bounds[a + 1] + 1):
-                for v in range(bounds[b] + 1, bounds[b + 1] + 1):
-                    edges.append((u, v))
-    return Graph(n, edges)
+        adj.extend([full ^ (((1 << p) - 1) << len(adj))] * p)
+    return _from_masks(adj)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

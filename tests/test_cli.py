@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgstar
-from pgstar import cli
+from pgstar import analysis, cli
 from pgstar.cli import EXIT_LIMIT, EXIT_USAGE, main
 from pgstar.graphio import MAX_EDGES, MAX_VERTICES, parse_edge_list
+from pgstar.polynomials import IntPolynomial
 from pgstar.verification import SWEEPS
 
 C6_TEXT = "6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n"
@@ -582,6 +583,32 @@ def test_integers_past_the_str_digit_limit_are_printed(tmp_path, output):
     if output == "json":
         coeffs = json.loads(proc.stdout)["independence_polynomial"]
         assert coeffs == [str(math.comb(pairs, k) * 2**k) for k in range(pairs + 1)]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+def test_a_report_past_the_digit_limit_renders_only_inside_every_digit():
+    # K_N for N = 10^5000 has P = 1 + N x, so P(-1) = 1 - N and h = 1 + (N - 1) t
+    # each carry 5000 nines; the report comes from P, without the engine
+    big = 10**5000
+    rep = analysis._analyze_polynomial.__wrapped__(IntPolynomial((1, big)))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default
+    try:
+        for render in (cli.report_to_dict, cli.render_report_text):
+            with pytest.raises(ValueError):
+                render(big, rep)
+        with cli._every_digit():
+            fields = cli.report_to_dict(big, rep)
+            text = cli.render_report_text(big, rep)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(old)
+    nines = "9" * 5000
+    assert fields["p_at_minus_one"] == "-" + nines
+    assert fields["h_polynomial"] == ["1", nines]
+    assert fields["h_top"] == nines
+    rows = dict(line.split(":", 1) for line in text.splitlines())
+    assert (rows["P(-1)"].strip(), rows["h top (deg alpha)"].strip()) == ("-" + nines, nines)
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")

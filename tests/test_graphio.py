@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from pgstar.graphio import (
     ParseError,
@@ -49,6 +50,7 @@ def test_parse_empty_graph():
         ("2 1\n1 3\n", "outside", 2),
         ("2 1\n1 x\n", "edge", 2),
         ("3 2\n1 2\n2 1\n", "duplicate", 3),
+        ("3 2\n1 2\n1 2\n", "duplicate", 3),
         ("3 1\n1 2\n2 3\n", "extra", 3),
         ("3 2\n1 2\n", "found 1", 2),
     ],
@@ -81,6 +83,13 @@ def test_round_trip_random_graphs_up_to_20():
 @given(graphs(max_n=8))
 def test_round_trip_property(g):
     assert parse_edge_list(serialize_edge_list(g)) == g
+
+
+@given(graphs(max_n=12), st.randoms(use_true_random=False))
+def test_shuffled_and_reversed_edge_lines_parse_back(g, rng):
+    lines = [f"{v} {u}" if rng.random() < 0.5 else f"{u} {v}" for u, v in g.edges()]
+    rng.shuffle(lines)
+    assert parse_edge_list("\n".join([f"{g.n} {len(lines)}", *lines]) + "\n") == g
 
 
 # -- graph6 -------------------------------------------------------------------

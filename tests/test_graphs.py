@@ -75,59 +75,6 @@ def test_neighbors_degree_has_edge():
         g.degree(6)
 
 
-# -- deletion ----------------------------------------------------------------
-
-
-def delete_vertex(g, v):
-    return g.induced_subgraph(u for u in g.vertices if u != v)
-
-
-def test_delete_vertex_of_cycle_gives_path():
-    assert delete_vertex(cycle_graph(4), 1) == path_graph(3)
-
-
-def test_delete_last_vertex_gives_empty_graph():
-    g = delete_vertex(path_graph(1), 1)
-    assert g.n == 0
-    assert g.edges() == []
-
-
-def test_delete_vertex_from_small_part_of_k23_gives_star():
-    # vertices 1,2 form the 2-part of K_{2,3}
-    g = delete_vertex(complete_multipartite([2, 3]), 1)
-    star = Graph(4, [(1, 2), (1, 3), (1, 4)])
-    assert g == star
-
-
-def test_delete_vertex_out_of_range():
-    with pytest.raises(ValueError):
-        path_graph(3).induced_subgraph([1, 4])
-
-
-def test_delete_closed_neighborhood():
-    assert cycle_graph(5).delete_closed_neighborhood(1) == path_graph(2)
-    star = Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
-    assert star.delete_closed_neighborhood(1).n == 0
-    assert cycle_graph(6).delete_closed_neighborhood(1) == path_graph(3)
-
-
-def test_induced_subgraph_relabels_order_preserving():
-    assert path_graph(5).induced_subgraph([2, 4, 5]) == Graph(3, [(2, 3)])
-    # 1 -> 1, 2 -> 2, 5 -> 3 whatever order keep lists them in
-    assert cycle_graph(5).induced_subgraph([5, 1, 2]) == Graph(3, [(1, 2), (1, 3)])
-
-
-@settings(max_examples=150)
-@given(graphs(min_n=2, max_n=8), st.data())
-def test_deletions_commute_up_to_relabeling(g, data):
-    u = data.draw(st.integers(1, g.n))
-    v = data.draw(st.integers(1, g.n).filter(lambda x: x != u))
-    # delete u first, adjusting the label of v, and vice versa
-    first = delete_vertex(delete_vertex(g, u), v - 1 if v > u else v)
-    second = delete_vertex(delete_vertex(g, v), u - 1 if u > v else u)
-    assert first == second
-
-
 # -- components and set predicates --------------------------------------------
 
 
@@ -296,6 +243,14 @@ def test_complete_multipartite():
         complete_multipartite([2, 0])
     with pytest.raises(ValueError):
         complete_multipartite([])
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+def test_complete_multipartite_joins_exactly_the_pairs_in_different_parts(parts):
+    part_of = [i for i, p in enumerate(parts) for _ in range(p)]
+    n = len(part_of)
+    edges = [(u + 1, v + 1) for u, v in combinations(range(n), 2) if part_of[u] != part_of[v]]
+    assert complete_multipartite(parts) == Graph(n, edges)
 
 
 def test_disjoint_union_shifts_labels():
