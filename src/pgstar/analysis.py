@@ -141,23 +141,32 @@ def _analyze_polynomial(p: IntPolynomial) -> AnalysisReport:
     )
 
 
-# how ``report_to_dict`` renders each field of the report of an n-vertex
-# graph; integers that can grow large become decimal strings
+# each field of the report of an n-vertex graph, read off the report
 REPORT_FIELDS: dict[str, Callable[[int, AnalysisReport], object]] = {
     "n": lambda n, rep: n,
     "alpha": lambda n, rep: rep.alpha,
-    "independence_polynomial": lambda n, rep: [str(c) for c in rep.ind_poly.coeffs],
-    "p_at_minus_one": lambda n, rep: str(rep.p_minus_one),
+    "independence_polynomial": lambda n, rep: rep.ind_poly,
+    "p_at_minus_one": lambda n, rep: rep.p_minus_one,
     "multiplicity": lambda n, rep: rep.multiplicity,
     "a_invariant": lambda n, rep: rep.a_invariant,
-    "h_polynomial": lambda n, rep: [str(c) for c in rep.h_poly.coeffs],
+    "h_polynomial": lambda n, rep: rep.h_poly,
     "h_degree": lambda n, rep: rep.h_degree,
-    "h_top": lambda n, rep: str(rep.h_top),
+    "h_top": lambda n, rep: rep.h_top,
     "pseudo_gorenstein": lambda n, rep: rep.pseudo_gorenstein,
     "pseudo_gorenstein_star": lambda n, rep: rep.pseudo_gorenstein_star,
 }
 
 
+def render_field(key: str, value: object) -> object:
+    """The JSON form of a report field: integers that can grow large become
+    decimal strings, a polynomial the list of its coefficients."""
+    if isinstance(value, IntPolynomial):
+        return [str(c) for c in value.coeffs]
+    if key in ("p_at_minus_one", "h_top"):
+        return str(value)
+    return value
+
+
 def report_to_dict(n: int, rep: AnalysisReport) -> dict:
     """The report of an n-vertex graph as JSON-ready fields."""
-    return {key: render(n, rep) for key, render in REPORT_FIELDS.items()}
+    return {key: render_field(key, read(n, rep)) for key, read in REPORT_FIELDS.items()}

@@ -25,7 +25,7 @@ import sys
 from contextlib import contextmanager
 
 from . import families, verification
-from .analysis import AnalysisReport, analyze, report_to_dict
+from .analysis import AnalysisReport, analyze, render_field, report_to_dict
 from .graphs import (
     CameronWalkerSpec,
     EnumerationLimitError,
@@ -196,6 +196,7 @@ def _emit_compared(
         lines = [header, render_report_text(n, rep)]
         if predicted is not None:
             agreement = not verification.prediction_mismatches("", predicted, n, rep)
+            predicted = {k: render_field(k, v) for k, v in predicted.items()}
             lines.append("prediction:")
             lines.extend(f"  {k}: {v}" for k, v in predicted.items())
             lines.append(f"agreement: {_yesno(agreement)}")

@@ -2,12 +2,12 @@
 
 Everything here is pure arithmetic on the family parameters (period-6
 and period-12 tables, parity conditions, gap statistics); no polynomial
-is ever computed.  Each ``predict_*`` function states one classification
-of the paper in its docstring and turns a family's parameters into the
-report fields that classification predicts; ``pgstar family``,
-``pgstar suspend`` and the verification sweeps all compare those against
-the exact computation, which is the whole point of keeping the two
-routes independent.
+is ever computed from a graph.  Each ``predict_*`` function states one
+classification of the paper in its docstring and turns a family's
+parameters into the report fields that classification predicts;
+``pgstar family``, ``pgstar suspend`` and the verification sweeps all
+compare those against the exact computation, which is the whole point
+of keeping the two routes independent.
 """
 
 from __future__ import annotations
@@ -172,9 +172,10 @@ def cycle_mis_susp_params(n: int, members: Iterable[int]) -> CycleSuspensionPara
 
 # -- predicted report fields, one function per classification ------------
 #
-# Keyed and rendered as in ``analysis.report_to_dict``; ``case`` and
-# ``a_invariant_zero`` are the two keys a report does not carry.  ``kind``
-# is "path" or "cycle".
+# Keyed like ``analysis.REPORT_FIELDS`` and holding the report's own
+# values (ints, bools, polynomials), which ``analysis.render_field``
+# renders; ``case`` and ``a_invariant_zero`` are the two keys a report
+# does not carry.  ``kind`` is "path" or "cycle".
 
 
 def predict_chain(kind: str, n: int) -> dict:
@@ -187,14 +188,14 @@ def predict_chain(kind: str, n: int) -> dict:
         value, pg_classes = p_value(n), (0, 2, 9, 11)
     else:
         value, pg_classes = c_value(n), (1, 2, 5, 10)
-    return {"p_at_minus_one": str(value), "pseudo_gorenstein_star": n % 12 in pg_classes}
+    return {"p_at_minus_one": value, "pseudo_gorenstein_star": n % 12 in pg_classes}
 
 
 def predict_multipartite(parts: Sequence[int]) -> dict:
     """A complete multipartite graph is pseudo-Gorenstein* exactly when it is
     complete bipartite and its larger part is odd."""
     return {
-        "independence_polynomial": [str(c) for c in multipartite_closed_poly(parts).coeffs],
+        "independence_polynomial": multipartite_closed_poly(parts),
         "pseudo_gorenstein_star": len(parts) == 2 and max(parts) % 2 == 1,
     }
 
@@ -210,7 +211,7 @@ def predict_cameron_walker(spec: CameronWalkerSpec) -> dict:
     triangles = sum(spec.triangles)
     bare = spec.triangles.count(0)
     return {
-        "p_at_minus_one": str(-1 if (n + triangles) % 2 else 1),
+        "p_at_minus_one": -1 if (n + triangles) % 2 else 1,
         "alpha": leaves + triangles + bare,
         "multiplicity": 0,
         "pseudo_gorenstein_star": (n + leaves + bare) % 2 == 0,
@@ -262,9 +263,9 @@ def predict_mis_suspension(params: PathSuspensionParams | CycleSuspensionParams)
             top = (-1) ** (alpha + (n - 1) // 3 + 1)
         else:
             return {"a_invariant_zero": False, "pseudo_gorenstein_star": False}
-        return {"a_invariant_zero": True, "pseudo_gorenstein_star": top == 1, "h_top": str(top)}
+        return {"a_invariant_zero": True, "pseudo_gorenstein_star": top == 1, "h_top": top}
     if n == 3:
-        return {"h_top": "-1", "pseudo_gorenstein_star": False}
+        return {"h_top": -1, "pseudo_gorenstein_star": False}
     an = a_value(n)
     if c == n // 2:
         top = -an
@@ -272,7 +273,7 @@ def predict_mis_suspension(params: PathSuspensionParams | CycleSuspensionParams)
         top = 1 if an > 0 else -1
     else:
         top = an
-    return {"h_top": str(top), "pseudo_gorenstein_star": top == 1}
+    return {"h_top": top, "pseudo_gorenstein_star": top == 1}
 
 
 def predict_vc_suspension(n_s: int, alpha: int, pg_star: bool, p_minus_one: int) -> dict:
@@ -290,9 +291,9 @@ def predict_vc_suspension(n_s: int, alpha: int, pg_star: bool, p_minus_one: int)
     if not 0 <= n_s <= alpha:
         raise ValueError(f"|S| = {n_s} outside 0..alpha = {alpha}")
     if n_s == 0:
-        return {"case": FULL_SUSPENSION_CASE, "p_at_minus_one": str(p_minus_one - 1)}
+        return {"case": FULL_SUSPENSION_CASE, "p_at_minus_one": p_minus_one - 1}
     if n_s < alpha:
         return {"case": PRESERVED, "pseudo_gorenstein_star": pg_star}
     if pg_star:
-        return {"case": NEVER_PG_STAR, "pseudo_gorenstein_star": False, "h_top": "-1"}
+        return {"case": NEVER_PG_STAR, "pseudo_gorenstein_star": False, "h_top": -1}
     return {"case": NEVER_PG_STAR}

@@ -84,19 +84,6 @@ class Graph:
     def vertices(self) -> range:
         return range(1, self._n + 1)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        self._check_vertex(v)
-        return frozenset(i + 1 for i in _bits(self._adj[v - 1]))
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._adj[v - 1].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self._adj[u - 1] >> (v - 1) & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
         out = []
@@ -105,9 +92,6 @@ class Graph:
             for v in _bits(rest):
                 out.append((u + 1, v + 1))
         return out
-
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self._adj) // 2
 
     # -- set predicates ----------------------------------------------------
 
@@ -152,13 +136,6 @@ class Graph:
                 return False
             dominated |= self._adj[v]
         return dominated == (1 << self._n) - 1
-
-    def connected_components(self) -> list[frozenset[int]]:
-        """Maximal connected vertex sets, sorted by smallest member."""
-        return [
-            frozenset(v + 1 for v in _bits(comp))
-            for comp in mask_components(self._adj, (1 << self._n) - 1)
-        ]
 
     def maximal_independent_sets(
         self, limit: int = MIS_ENUMERATION_LIMIT
@@ -206,10 +183,6 @@ class Graph:
         return [frozenset(v + 1 for v in _bits(m)) for m in found]
 
     # -- dunder ------------------------------------------------------------
-
-    def _check_vertex(self, v: int) -> None:
-        if not (1 <= v <= self._n):
-            raise ValueError(f"vertex {v} outside 1..{self._n}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -335,7 +308,7 @@ class CameronWalkerSpec(_CameronWalkerFields):
             if not (1 <= i <= self.core_x and 1 <= j <= self.core_y):
                 raise ValueError(f"core edge ({i},{j}) out of range")
         core = self.core_graph()
-        if len(core.connected_components()) != 1:
+        if len(mask_components(core._adj, (1 << core.n) - 1)) != 1:
             raise ValueError("core must be connected")
         return self
 

@@ -24,7 +24,7 @@ from itertools import chain, combinations, combinations_with_replacement
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import families
-from .analysis import REPORT_FIELDS, AnalysisReport, analyze
+from .analysis import REPORT_FIELDS, AnalysisReport, analyze, render_field
 from .graphs import (
     MIS_ENUMERATION_LIMIT,
     CameronWalkerSpec,
@@ -59,7 +59,7 @@ CW_MAX_TRIANGLES = 2
 # --random 0 --exhaustive-n 6` peaks at 14.6 MB RSS at --jobs 1 and 31.0 MB
 # at --jobs 2 (CPython 3.11, 2 cores), about 500 bytes per listed graph;
 # k = 7 peaked at 860 MB at --jobs 2, and k = 8 would need some 135 GB.
-# ROADMAP.md item 6 (feeding the pool in bounded windows) removes the list.
+# ROADMAP.md item 7 (feeding the pool in bounded windows) removes the list.
 EXHAUSTIVE_MAX_N = 7
 
 
@@ -127,8 +127,8 @@ def _gather(theorem, checks, items, jobs, seed=None) -> VerifyOutcome:
     return VerifyOutcome(theorem, len(results), mismatches, seed)
 
 
-# what a prediction may state: a field of ``report_to_dict``, rendered the
-# same way, or whether the a-invariant vanishes
+# what a prediction may state: a field of the report, or whether the
+# a-invariant vanishes
 _PREDICTABLE = {**REPORT_FIELDS, "a_invariant_zero": lambda n, rep: rep.a_invariant == 0}
 
 
@@ -137,17 +137,19 @@ def prediction_mismatches(
 ) -> tuple[Mismatch, ...]:
     """Every predicted field that the report of an n-vertex graph contradicts.
 
-    ``predicted`` is keyed like ``report_to_dict``; a key the report does
-    not carry, such as ``case``, is skipped, and ``a_invariant_zero`` is
-    read off the a-invariant.  Only the predicted fields are rendered.
+    ``predicted`` holds report values keyed like ``REPORT_FIELDS``; a key
+    the report does not carry, such as ``case``, is skipped, and
+    ``a_invariant_zero`` is read off the a-invariant.  Values are compared
+    as they are, and only a contradicted field is rendered.
     """
     out = []
     for key, want in predicted.items():
-        render = _PREDICTABLE.get(key)
-        if render is not None:
-            got = render(n, rep)
+        read = _PREDICTABLE.get(key)
+        if read is not None:
+            got = read(n, rep)
             if got != want:
-                out.append(Mismatch(f"{instance} {key}", str(want), str(got)))
+                expected, found = (str(render_field(key, v)) for v in (want, got))
+                out.append(Mismatch(f"{instance} {key}", expected, found))
     return tuple(out)
 
 
@@ -323,11 +325,9 @@ def _check_vc_suspension(item: tuple[int, Graph]) -> tuple[Mismatch, ...]:
         # the h identities of the paper's two cases, against the base's h
         if predicted["case"] == families.PRESERVED:
             predicted["alpha"] = rep.alpha
-            want_h = rep.h_poly + t * one_minus_t ** (rep.alpha - s - 1)
-            predicted["h_polynomial"] = [str(c) for c in want_h.coeffs]
+            predicted["h_polynomial"] = rep.h_poly + t * one_minus_t ** (rep.alpha - s - 1)
         elif predicted["case"] == families.NEVER_PG_STAR:
-            want_h = one_minus_t * rep.h_poly + t
-            predicted["h_polynomial"] = [str(c) for c in want_h.coeffs]
+            predicted["h_polynomial"] = one_minus_t * rep.h_poly + t
         gz = suspension(g, cover)
         name = f"graph#{index} S={sorted(s_set)}"
         out.extend(prediction_mismatches(name, predicted, gz.n, analyze(gz)))
@@ -364,8 +364,8 @@ def _check_cycle_mis_suspension(item: tuple[int, int]) -> tuple[Mismatch, ...]:
         predicted = families.predict_mis_suspension(families.cycle_mis_susp_params(n, picks))
         predicted["multiplicity"] = 0
         if n == 3:
-            predicted["independence_polynomial"] = ["1", "4", "2"]
-            predicted["h_polynomial"] = ["1", "2", "-1"]
+            predicted["independence_polynomial"] = IntPolynomial((1, 4, 2))
+            predicted["h_polynomial"] = IntPolynomial((1, 2, -1))
         gz = suspension(g, picks)
         out.extend(prediction_mismatches(name, predicted, gz.n, analyze(gz)))
         c = len(picks)

@@ -585,6 +585,38 @@ def test_integers_past_the_str_digit_limit_are_printed(tmp_path, output):
         assert coeffs == [str(math.comb(pairs, k) * 2**k) for k in range(pairs + 1)]
 
 
+@pytest.mark.parametrize("output", ["json", "text"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "multipartite", "--parts", "2200"],
+        ["suspend", "--family", "multipartite", "--parts", "2200", "--full"],
+    ],
+    ids=["family", "suspend"],
+)
+def test_predictions_past_the_str_digit_limit_are_printed(argv, output):
+    # one part of 2200 vertices is the edgeless graph, and C(2200, 1100) has
+    # 661 digits: the closed form of the family and the base of the cone
+    # must render inside the lift as the report does
+    middle = str(math.comb(2200, 1100))
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-m", "pgstar", *argv,
+         "--output", output],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if output == "text":
+        assert middle in proc.stdout
+        return
+    payload = json.loads(proc.stdout)
+    assert payload["computed"]["independence_polynomial"][1100] == middle
+    if argv[0] == "family":
+        assert payload["predicted"]["independence_polynomial"][1100] == middle
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
 def test_a_report_past_the_digit_limit_renders_only_inside_every_digit():
     # K_N for N = 10^5000 has P = 1 + N x, so P(-1) = 1 - N and h = 1 + (N - 1) t

@@ -135,7 +135,7 @@ def test_cw_counts():
     # n = 1 core X vertex, F = 2 leaves, T = 3 triangles, m0 = 1 bare Y vertex
     spec = CameronWalkerSpec(1, 2, [(1, 1), (1, 2)], [2], [0, 3])
     assert predict_cameron_walker(spec) == {
-        "p_at_minus_one": "1",  # (-1)^(n+T)
+        "p_at_minus_one": 1,  # (-1)^(n+T)
         "alpha": 6,  # F + T + m0
         "multiplicity": 0,
         "pseudo_gorenstein_star": True,  # n + F + m0 even
@@ -152,7 +152,7 @@ def test_cw_counts():
 )
 def test_cw_formulas_on_small_specs(spec, value, alpha, pg):
     predicted = predict_cameron_walker(spec)
-    assert predicted["p_at_minus_one"] == str(value)
+    assert predicted["p_at_minus_one"] == value
     assert predicted["alpha"] == alpha
     assert pg_star(predicted) == pg
     # cross-check against full analysis of the built graph
@@ -210,20 +210,20 @@ def test_cycle_params_validation():
         CycleSuspensionParams(10, 6)  # above floor(10/2)
 
 
-def cycle_top(n: int, c: int) -> str:
+def cycle_top(n: int, c: int) -> int:
     return predict_mis_suspension(CycleSuspensionParams(n, c))["h_top"]
 
 
 def test_cycle_top_coeff_trichotomy():
     # c = alpha
-    assert cycle_top(5, 2) == "-1"
+    assert cycle_top(5, 2) == -1
     # c = ceil(n/3) < alpha
-    assert cycle_top(12, 4) == "1"
-    assert cycle_top(10, 4) == "1"
+    assert cycle_top(12, 4) == 1
+    assert cycle_top(10, 4) == 1
     # strictly between
-    assert cycle_top(12, 5) == "2"
+    assert cycle_top(12, 5) == 2
     # the triangle is outside the trichotomy: h = 1 + 2t - t^2
-    assert cycle_top(3, 1) == "-1"
+    assert cycle_top(3, 1) == -1
 
 
 def test_cycle_top_coeff_worked_example():
@@ -234,7 +234,7 @@ def test_cycle_top_coeff_worked_example():
     assert rep.ind_poly.coeffs == (1, 6, 8, 2)
     assert rep.h_top == -1
     predicted = predict_mis_suspension(cycle_mis_susp_params(5, frozenset({1, 3})))
-    assert str(rep.h_top) == predicted["h_top"]
+    assert rep.h_top == predicted["h_top"]
 
 
 def test_cycle_mis_pg_star_cases():
@@ -302,7 +302,7 @@ def test_path_classify_case_b():
     assert path_prediction(4, {1, 4}) == {
         "a_invariant_zero": True,
         "pseudo_gorenstein_star": True,
-        "h_top": "1",
+        "h_top": 1,
     }
     # brute-force cross-check of the worked example
     from pgstar.graphs import suspension
@@ -317,7 +317,7 @@ def test_path_classify_case_a():
     assert path_prediction(5, {1, 3, 5}) == {
         "a_invariant_zero": True,
         "pseudo_gorenstein_star": False,
-        "h_top": "-1",
+        "h_top": -1,
     }
 
 
@@ -340,7 +340,7 @@ def chain_vertex_sets(draw):
         return g, frozenset(draw(st.sets(st.integers(1, n))))
     members = set()
     for v in draw(st.permutations(range(1, n + 1))):
-        if not g.neighbors(v) & members:
+        if g.is_independent(members | {v}):
             members.add(v)
     change = draw(st.sampled_from(["none", "drop", "add"]))
     if change == "drop":
@@ -357,7 +357,7 @@ def chain_vertex_sets(draw):
 @example((cycle_graph(8), frozenset({3, 5, 7})))  # a gap of 4 across the wrap
 def test_mis_params_arithmetic_matches_graph(case):
     g, members = case
-    is_path = g.edge_count() == g.n - 1
+    is_path = len(g.edges()) == g.n - 1
     derive = path_mis_susp_params if is_path else cycle_mis_susp_params
     if g.is_maximal_independent(members):
         assert derive(g.n, members).c == len(members)

@@ -33,7 +33,7 @@ def all_subsets(n):
 def test_build_triangle():
     g = Graph(3, [(1, 2), (2, 3), (1, 3)])
     assert g == cycle_graph(3)
-    assert g.edge_count() == 3
+    assert g.edges() == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_build_single_vertex_and_path():
@@ -59,30 +59,14 @@ def test_duplicate_edges_are_deduplicated():
 
 def test_adjacency_is_symmetric_and_loop_free():
     g = Graph(5, [(1, 2), (3, 5), (2, 4)])
-    for u in g.vertices:
-        assert u not in g.neighbors(u)
-        for v in g.neighbors(u):
-            assert u in g.neighbors(v)
-
-
-def test_neighbors_degree_has_edge():
-    g = cycle_graph(5)
-    assert g.neighbors(1) == frozenset({2, 5})
-    assert g.degree(1) == 2
-    assert g.has_edge(5, 1)
-    assert not g.has_edge(1, 3)
-    with pytest.raises(ValueError):
-        g.degree(6)
+    assert g._adj == (0b00010, 0b01001, 0b10000, 0b00010, 0b00100)
+    for u, mask in enumerate(g._adj):
+        assert not mask >> u & 1
+        for v in range(g.n):
+            assert (mask >> v & 1) == (g._adj[v] >> u & 1)
 
 
 # -- components and set predicates --------------------------------------------
-
-
-def test_connected_components():
-    assert cycle_graph(5).connected_components() == [frozenset(range(1, 6))]
-    assert Graph(0).connected_components() == []
-    g = Graph(3, [(1, 2)])
-    assert g.connected_components() == [frozenset({1, 2}), frozenset({3})]
 
 
 def test_mask_components_of_induced_subgraph():
@@ -92,6 +76,9 @@ def test_mask_components_of_induced_subgraph():
     # dropping vertices 3 and 6 leaves the pieces {1,2} and {4,5}
     assert mask_components(adj, 0b011011) == [0b000011, 0b011000]
     assert mask_components(adj, 0b010101) == [0b000001, 0b000100, 0b010000]
+    assert mask_components(Graph(0)._adj, 0) == []
+    # an edge and an isolated vertex, ordered by lowest bit
+    assert mask_components(Graph(3, [(1, 2)])._adj, 0b111) == [0b011, 0b100]
 
 
 def test_is_independent():
@@ -227,7 +214,9 @@ def test_path_graph_zero_is_empty():
 
 
 def test_cycle_graph_requires_three_vertices():
-    assert cycle_graph(3).edge_count() == 3
+    assert cycle_graph(3).edges() == [(1, 2), (1, 3), (2, 3)]
+    # vertex 1 of C_5 is adjacent to 2 and 5 only
+    assert cycle_graph(5).edges() == [(1, 2), (1, 5), (2, 3), (3, 4), (4, 5)]
     with pytest.raises(ValueError):
         cycle_graph(2)
 
@@ -235,7 +224,7 @@ def test_cycle_graph_requires_three_vertices():
 def test_complete_multipartite():
     k23 = complete_multipartite([2, 3])
     assert k23.n == 5
-    assert k23.edge_count() == 6
+    assert k23.edges() == [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)]
     # parts are labeled consecutively and stay independent
     assert k23.is_independent({1, 2})
     assert k23.is_independent({3, 4, 5})
@@ -286,8 +275,8 @@ def test_cw_two_x_path_core():
     spec = CameronWalkerSpec(2, 1, [(1, 1), (2, 1)], [1, 1], [0])
     g = cameron_walker(spec)
     assert g.n == 5
-    assert g.edge_count() == 4
-    assert len(g.connected_components()) == 1
+    assert g.edges() == [(1, 3), (1, 4), (2, 3), (2, 5)]
+    assert mask_components(g._adj, (1 << g.n) - 1) == [0b11111]
     assert brute_alpha(g) == 3  # F + T + m0 = 2 + 0 + 1
 
 
@@ -339,14 +328,13 @@ def test_suspension_of_triangle_over_one_vertex():
 def test_full_suspension_is_cone():
     base = path_graph(3)
     g = suspension(base, base.vertices)
-    assert g.degree(4) == 3
+    assert g.edges() == [(1, 2), (1, 4), (2, 3), (2, 4), (3, 4)]
 
 
 def test_suspension_p4_over_endpoints():
     g = suspension(path_graph(4), [1, 4])
     assert g.n == 5
-    assert g.degree(5) == 2
-    assert g.has_edge(5, 1) and g.has_edge(5, 4)
+    assert g.edges() == [(1, 2), (1, 5), (2, 3), (3, 4), (4, 5)]
 
 
 def test_suspension_rejects_bad_sets():

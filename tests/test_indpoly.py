@@ -211,7 +211,7 @@ def first_mis(g):
         suspension(path_graph(14), range(1, 15)),
         suspension(cycle_graph(13), range(1, 14)),
     ],
-    ids=lambda g: f"n{g.n}e{g.edge_count()}",
+    ids=lambda g: f"n{g.n}e{len(g.edges())}",
 )
 def test_unrelabelled_graphs_above_the_label_order_threshold_match_bruteforce(g):
     assert_every_side(g)

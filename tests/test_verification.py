@@ -15,6 +15,7 @@ from pgstar.graphs import (
     suspension,
 )
 from pgstar.indpoly import BRUTE_FORCE_LIMIT
+from pgstar.polynomials import IntPolynomial
 from pgstar.verification import (
     DEFAULT_SEED,
     Mismatch,
@@ -170,8 +171,8 @@ def test_all_graphs_matches_the_edge_list_construction():
     [
         (verification._check_prediction,
          ("C_6", cycle_graph(6), families.predict_chain("cycle", 6))),
-        (verification._check_prediction, ("P_7", path_graph(7), {"p_at_minus_one": "0"})),
-        (verification._check_prediction, ("C_7", cycle_graph(7), {"p_at_minus_one": "1"})),
+        (verification._check_prediction, ("P_7", path_graph(7), {"p_at_minus_one": 0})),
+        (verification._check_prediction, ("C_7", cycle_graph(7), {"p_at_minus_one": 1})),
         (verification._check_vc_suspension, (0, path_graph(4))),
         (verification._check_cycle_mis_suspension, (9, MIS_ENUMERATION_LIMIT)),
         (verification._check_path_mis_suspension, (9, MIS_ENUMERATION_LIMIT)),
@@ -185,17 +186,22 @@ def test_a_clean_instance_returns_the_empty_tuple(check, item):
 
 
 def test_wrong_polynomial_predictions_are_reported_as_rendered_lists():
-    rep = analyze(cycle_graph(5))  # P = 1 + 5x + 5x^2, h = 1 + 3t + t^2
+    # P = 1 + 5x + 5x^2, h = 1 + 3t + t^2, P(-1) = h_top = 1
+    rep = analyze(cycle_graph(5))
     predicted = {
         "case": "not a report field",
         "alpha": 2,
-        "independence_polynomial": ["1", "5", "6"],
-        "h_polynomial": ["1", "3", "2"],
+        "independence_polynomial": IntPolynomial((1, 5, 6)),
+        "h_polynomial": IntPolynomial((1, 3, 2)),
+        "p_at_minus_one": -1,
+        "h_top": 2**70,
         "a_invariant_zero": False,
     }
     assert prediction_mismatches("C_5", predicted, 5, rep) == (
         Mismatch("C_5 independence_polynomial", "['1', '5', '6']", "['1', '5', '5']"),
         Mismatch("C_5 h_polynomial", "['1', '3', '2']", "['1', '3', '1']"),
+        Mismatch("C_5 p_at_minus_one", "-1", "1"),
+        Mismatch("C_5 h_top", "1180591620717411303424", "1"),
         Mismatch("C_5 a_invariant_zero", "False", "True"),
     )
 
