@@ -8,7 +8,6 @@ exact multiplicity of the root -1.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Iterable
 
 
@@ -30,10 +29,17 @@ class IntPolynomial:
 
     @classmethod
     def binomial(cls, n: int) -> "IntPolynomial":
-        """(1 + x)**n expanded exactly."""
+        """(1 + x)**n expanded exactly.
+
+        Each coefficient comes from the one before it, C(n, k + 1) =
+        C(n, k) (n - k) / (k + 1), and the division is exact.
+        """
         if n < 0:
             raise ValueError("negative exponent")
-        return cls(comb(n, k) for k in range(n + 1))
+        row = [1]
+        for k in range(n):
+            row.append(row[-1] * (n - k) // (k + 1))
+        return cls(row)
 
     @property
     def coeffs(self) -> tuple[int, ...]:

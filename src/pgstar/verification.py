@@ -8,12 +8,12 @@ share one check, whose mismatch lines read ``<instance> <report key>``;
 ``sequences`` compares the period-6 tables of P(-1) on paths and cycles
 that way too.  The others add what a single report cannot show, such
 as the h-polynomial identities against the base graph.  Instances are
-independent, so sweeps may fan out to a process pool; results are merged
-in instance order and the output is identical for any parallelism degree.
-Range sweeps list their instances by ascending size, and the pool takes
-them largest first so that the costliest ones never run alone at the end.
-With one worker a sweep builds and checks its instances one at a time,
-and the pool is imported only when more than one worker starts.
+independent, so sweeps may fan out to forked worker processes; results
+are merged in instance order and the output is identical for any
+parallelism degree.  Range sweeps list their instances by ascending
+size, and the workers take them largest first so that the costliest
+ones never run alone at the end.  With one worker a sweep builds and
+checks its instances one at a time, and starts no process.
 """
 
 from __future__ import annotations
@@ -55,11 +55,12 @@ CW_MAX_LEAVES = 2
 CW_MAX_TRIANGLES = 2
 # Largest n whose every labelled graph a mixed corpus takes in.  There are
 # sum over n <= k of 2^C(n, 2) of them: 33 868 at k = 6, 2 131 020 at k = 7
-# and 270 566 476 at k = 8.  A pool lists them first.  `verify deg-via-ord
-# --random 0 --exhaustive-n 6` peaks at 14.6 MB RSS at --jobs 1 and 31.0 MB
-# at --jobs 2 (CPython 3.11, 2 cores), about 500 bytes per listed graph;
-# k = 7 peaked at 860 MB at --jobs 2, and k = 8 would need some 135 GB.
-# ROADMAP.md item 7 (feeding the pool in bounded windows) removes the list.
+# and 270 566 476 at k = 8.  More than one worker lists them first.  `verify
+# deg-via-ord --random 0 --exhaustive-n 6` peaks at 14.6 MB RSS at --jobs 1
+# and 23.4 MB at --jobs 2 (CPython 3.11, 2 cores), about 275 bytes per
+# listed graph; at that rate k = 7 takes some 590 MB at --jobs 2, and k = 8
+# would need some 75 GB.  ROADMAP.md item 7 (feeding the workers in bounded
+# windows) removes the list.
 EXHAUSTIVE_MAX_N = 7
 
 
@@ -98,26 +99,100 @@ def _pool_size(jobs: int, items: int, cpus: int) -> int:
     return max(1, min(jobs, items, cpus))
 
 
-def _pmap(fn: Callable, items: Iterable, jobs: int) -> list:
-    """``fn`` over ``items``, results in item order; one worker consumes
-    them one at a time, a pool lists them first and is imported only then.
+def _pipe(ends: list) -> tuple:
+    """A fresh pipe as (read, write) files, added to ``ends``; reads are
+    unbuffered, so a read of 4 bytes is one read of the pipe."""
+    read, write = os.pipe()
+    pair = open(read, "rb", buffering=0), open(write, "wb")
+    ends += pair
+    return pair
 
-    Range sweeps list their instances by ascending size, so the pool takes
-    them in reverse: the costliest chunks start first instead of running
-    alone at the end.
+
+def _work(fn: Callable, items: list, chunk: int, tickets, out) -> None:
+    """Body of a forked worker: ``fn`` over the chunk of each ticket, up to
+    the chunk's first exception, then ``{start: results or exception}`` as
+    one pickle.  It leaves through ``os._exit``, so no parent cleanup and
+    no stdio flush runs in the child."""
+    code = 1
+    try:
+        import pickle
+
+        done = {}
+        while ticket := tickets.read(4):
+            start = int.from_bytes(ticket, "little")
+            try:
+                done[start] = [fn(item) for item in items[start : start + chunk]]
+            except Exception as exc:
+                done[start] = exc
+        out.write(pickle.dumps(done))
+        out.close()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _pmap(fn: Callable, items: Iterable, jobs: int) -> list:
+    """``fn`` over ``items``, results in item order.
+
+    One worker consumes the items one at a time.  More workers, forked
+    where ``os.fork`` exists, list them first and inherit them; each takes
+    chunk start indices from one pipe of 4-byte tickets and pickles only
+    its results back.  Range sweeps list their instances by ascending size,
+    so the tickets go largest first: the costliest chunks start first
+    instead of running alone at the end.  The lowest-index failing item
+    raises its exception, as with one worker; a worker that dies, or a
+    fork or pipe that fails, raises ``RuntimeError``.
     """
     workers = 1
-    if jobs > 1:
+    if jobs > 1 and hasattr(os, "fork"):
         items = list(items)
         workers = _pool_size(jobs, len(items), os.cpu_count() or 1)
     if workers == 1:
         return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle
+    import signal
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(items) // (workers * 4))
-        results = list(pool.map(fn, reversed(items), chunksize=chunk))
-    results.reverse()
+    chunk = max(1, len(items) // (workers * 4))
+    starts = range(0, len(items), chunk)
+    ends: list = []  # every pipe end the parent opened
+    children: dict = {}  # pid -> the read end of its results, until reaped
+    done = {}
+    try:
+        try:
+            tickets, feed = _pipe(ends)
+            # all tickets are written before the first fork, and workers
+            # read them until EOF; under 8 per worker fit in a pipe buffer
+            feed.write(b"".join(s.to_bytes(4, "little") for s in reversed(starts)))
+            feed.close()
+            for _ in range(workers):
+                read, write = _pipe(ends)
+                pid = os.fork()
+                if not pid:
+                    _work(fn, items, chunk, tickets, write)
+                children[pid] = read
+                write.close()
+        except OSError as exc:
+            raise RuntimeError(f"cannot start sweep workers: {exc}") from exc
+        for pid, read in list(children.items()):
+            payload = read.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status:
+                raise RuntimeError(f"a sweep worker ended with status {status} and no results")
+            done.update(pickle.loads(payload))
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        for end in ends:
+            end.close()
+    results = []
+    for start in starts:
+        if isinstance(done[start], Exception):
+            raise done[start]
+        results += done[start]
     return results
 
 
@@ -271,7 +346,7 @@ def random_cameron_walker_specs(
     return specs
 
 
-# -- per-instance checks (top level so the pool can pickle them) -----------
+# -- per-instance checks ---------------------------------------------------
 
 
 def _check_prediction(item: tuple[str, Graph, dict]) -> tuple[Mismatch, ...]:

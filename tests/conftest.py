@@ -1,8 +1,9 @@
 """Suite-wide test settings: a test that runs past ``TIME_LIMIT_S`` fails.
 
 Without the limit, an engine that loops forever hangs the suite instead of
-failing it.  The alarm reaches the main process only, so a hang inside a
-pool worker is not caught.
+failing it.  The alarm reaches the main process only; a hang inside a
+forked sweep worker is caught there, while the parent waits for that
+worker's results, and the parent then kills its workers.
 """
 
 import signal

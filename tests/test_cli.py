@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgstar
-from pgstar import analysis, cli
+from pgstar import analysis, cli, verification
 from pgstar.cli import EXIT_LIMIT, EXIT_USAGE, main
 from pgstar.graphio import MAX_EDGES, MAX_VERTICES, parse_edge_list
 from pgstar.polynomials import IntPolynomial
@@ -377,6 +378,31 @@ def test_verify_enum_cap_exits_3(capsys):
     assert "capped" in err
 
 
+def test_verify_enum_cap_fails_alike_at_every_jobs(monkeypatch, capsys):
+    # cycles past the cap fail in several workers; each run reports the first
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["verify", "cycle-mis-suspension", "--max-n", "30", "--enum-cap", "24"]
+    runs = [run_cli(argv + ["--jobs", jobs], capsys) for jobs in ("1", "2")]
+    assert runs[0] == runs[1] == (
+        EXIT_LIMIT, "", "error: maximal-independent-set enumeration capped at n = 24\n"
+    )
+
+
+def test_verify_worker_that_dies_exits_4(monkeypatch, capsys):
+    parent = os.getpid()
+
+    def dies_in_a_worker(item):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return ()
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verification, "_check_prediction", dies_in_a_worker)
+    code, out, err = run_cli(["verify", "cycles", "--max-n", "8", "--jobs", "2"], capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal error: RuntimeError: a sweep worker ended")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -702,6 +728,8 @@ import json, sys
 from pgstar.cli import build_parser, main
 build_parser()
 codes = [main(["compute", sys.argv[1]]), main(["verify", "cycles", "--max-n", "5"])]
+# forked workers need neither the executor nor multiprocessing
+codes.append(main(["verify", "cycles", "--max-n", "5", "--jobs", "2"]))
 pool = [m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules]
 introspection = [m for m in ("dataclasses", "inspect") if m in sys.modules]
 print(json.dumps({"codes": codes, "pool": pool, "introspection": introspection}))
@@ -720,7 +748,7 @@ def test_single_worker_runs_never_import_the_pool(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # records are named tuples and sweep options come from code objects
     assert json.loads(proc.stdout.splitlines()[-1]) == {
-        "codes": [0, 0],
+        "codes": [0, 0, 0],
         "pool": [],
         "introspection": [],
     }

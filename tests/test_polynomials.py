@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -45,6 +47,11 @@ def test_binomial_expansion():
     assert IntPolynomial.binomial(3).coeffs == (1, 3, 3, 1)
     assert IntPolynomial.binomial(0) == ONE
     assert IntPolynomial.binomial(4) == (ONE + X) ** 4
+
+
+def test_binomial_row_matches_math_comb():
+    for n in [*range(301), 2200]:
+        assert IntPolynomial.binomial(n).coeffs == tuple(math.comb(n, k) for k in range(n + 1))
 
 
 def test_scalar_multiplication():

@@ -1,3 +1,5 @@
+import os
+import signal
 from itertools import combinations
 
 import pytest
@@ -134,9 +136,67 @@ def _square(x: int) -> int:
 
 def test_pmap_returns_results_in_item_order(monkeypatch):
     # the pool takes the items in reverse; results still come in item order
-    monkeypatch.setattr(verification.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: 3)
     items = (i for i in range(50))
     assert verification._pmap(_square, items, jobs=2) == [i * i for i in range(50)]
+    # 53 items make chunks of 6 (2 workers) or 4 (3 workers) and a short
+    # last one, and the items' cost varies
+    uneven = [3 ** (i % 11) for i in range(53)]
+    for jobs in (2, 3):
+        assert verification._pmap(_square, uneven, jobs) == [x * x for x in uneven]
+
+
+def _fails_at_7_and_40(x: int) -> int:
+    if x in (7, 40):
+        raise ValueError(f"item {x}")
+    return x
+
+
+def _dies_at_30(x: int) -> int:
+    if x == 30:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_pmap_raises_the_lowest_index_failure(jobs, monkeypatch):
+    # what one worker raises: the first failing item in item order
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: 3)
+    with pytest.raises(ValueError, match="^item 7$"):
+        verification._pmap(_fails_at_7_and_40, range(50), jobs)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_pmap_worker_that_dies_raises_runtime_error(jobs, monkeypatch):
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: 3)
+    with pytest.raises(RuntimeError, match="sweep worker ended with status -9"):
+        verification._pmap(_dies_at_30, range(50), jobs)
+    _assert_no_child_left()
+
+
+def test_pmap_failing_fork_raises_runtime_error(monkeypatch):
+    # cli.main maps OSError to exit 2, so a pool that cannot start says so
+    # as a RuntimeError, which exits 4; the worker already forked is killed
+    forks = []
+    fork = os.fork
+
+    def second_fork_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(verification.os, "fork", second_fork_fails)
+    with pytest.raises(RuntimeError, match="cannot start sweep workers"):
+        verification._pmap(_square, range(10), jobs=3)
+    _assert_no_child_left()
 
 
 def test_corpus_is_seed_deterministic():
