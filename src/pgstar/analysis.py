@@ -14,25 +14,25 @@ A graph is pseudo-Gorenstein when the leading coefficient of its
 the a-invariant deg h - alpha vanishes; the latter is equivalent to
 P(-1) = (-1)^alpha.
 
-Every field of an ``AnalysisReport`` is a function of P alone, and P is
-an immutable ``IntPolynomial`` that hashes and compares by its
-coefficients.  So ``analyze`` memoizes the step from P to the report,
-per process, in an LRU cache of ``MEMO_SIZE`` = 512 entries, for P of
-degree alpha <= ``MEMO_MAX_ALPHA`` = 32; sweeps over small graphs meet
-the same P many times.  A larger P skips the memo and is analysed by
-the same function body, so memory stays bounded for long paths and
-cycles.  At alpha <= 32 and n <= ``graphio.MAX_VERTICES`` = 20 000 a
-coefficient of P is at most binom(20000, 32) < 2^340 and one of h is
-below 2^380, so an entry holds at most 2 x 33 integers of at most 80
-bytes each: under 6 KB, and about 3 MB for a full memo.  Callers share
-the frozen report and never mutate it.  The engine itself is never
-memoized.
+Every field of an ``AnalysisReport`` is a function of P alone (the
+vertex count n is the coefficient of x), and P is an immutable
+``IntPolynomial`` that hashes and compares by its coefficients.  So
+``analyze`` memoizes the step from P to the report, per process, in an
+LRU cache of ``MEMO_SIZE`` = 512 entries, for P of degree alpha <=
+``MEMO_MAX_ALPHA`` = 32; sweeps over small graphs meet the same P many
+times.  A larger P skips the memo and is analysed by the same function
+body, so memory stays bounded for long paths and cycles.  At alpha <= 32
+and n <= ``graphio.MAX_VERTICES`` = 20 000 a coefficient of P is at most
+binom(20000, 32) < 2^340 and one of h is below 2^380, so an entry holds
+n and at most 2 x 33 integers of at most 80 bytes each: under 6 KB, and
+about 3 MB for a full memo.  Callers share the frozen report and never
+mutate it.  The engine itself is never memoized.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .graphs import Graph
 from .indpoly import independence_polynomial, minus_one_profile
@@ -89,12 +89,13 @@ def a_invariant(h_poly: IntPolynomial, alpha: int) -> int:
 class AnalysisReport(NamedTuple):
     """Every invariant this package derives from one graph."""
 
+    n: int
     alpha: int
     ind_poly: IntPolynomial
-    h_poly: IntPolynomial
     p_minus_one: int
     multiplicity: int
     a_invariant: int
+    h_poly: IntPolynomial
     h_degree: int
     h_top: int
     pseudo_gorenstein: bool
@@ -128,12 +129,14 @@ def _analyze_polynomial(p: IntPolynomial) -> AnalysisReport:
     a = a_invariant(h, alpha)
     pg = h.leading_coefficient == 1
     return AnalysisReport(
+        # every vertex is an independent set of size 1
+        n=p.coefficient(1),
         alpha=alpha,
         ind_poly=p,
-        h_poly=h,
         p_minus_one=profile.value,
         multiplicity=profile.multiplicity,
         a_invariant=a,
+        h_poly=h,
         h_degree=h.degree,
         h_top=top_alpha_coefficient(profile.value, alpha),
         pseudo_gorenstein=pg,
@@ -141,19 +144,19 @@ def _analyze_polynomial(p: IntPolynomial) -> AnalysisReport:
     )
 
 
-# each field of the report of an n-vertex graph, read off the report
-REPORT_FIELDS: dict[str, Callable[[int, AnalysisReport], object]] = {
-    "n": lambda n, rep: n,
-    "alpha": lambda n, rep: rep.alpha,
-    "independence_polynomial": lambda n, rep: rep.ind_poly,
-    "p_at_minus_one": lambda n, rep: rep.p_minus_one,
-    "multiplicity": lambda n, rep: rep.multiplicity,
-    "a_invariant": lambda n, rep: rep.a_invariant,
-    "h_polynomial": lambda n, rep: rep.h_poly,
-    "h_degree": lambda n, rep: rep.h_degree,
-    "h_top": lambda n, rep: rep.h_top,
-    "pseudo_gorenstein": lambda n, rep: rep.pseudo_gorenstein,
-    "pseudo_gorenstein_star": lambda n, rep: rep.pseudo_gorenstein_star,
+# each field of a report, in the report's order: its JSON key and its text label
+REPORT_FIELDS = {
+    "n": "n",
+    "alpha": "alpha",
+    "independence_polynomial": "independence poly",
+    "p_at_minus_one": "P(-1)",
+    "multiplicity": "multiplicity of -1",
+    "a_invariant": "a-invariant",
+    "h_polynomial": "h-polynomial",
+    "h_degree": "h degree",
+    "h_top": "h top (deg alpha)",
+    "pseudo_gorenstein": "pseudo-Gorenstein",
+    "pseudo_gorenstein_star": "pseudo-Gorenstein*",
 }
 
 
@@ -167,6 +170,19 @@ def render_field(key: str, value: object) -> object:
     return value
 
 
-def report_to_dict(n: int, rep: AnalysisReport) -> dict:
-    """The report of an n-vertex graph as JSON-ready fields."""
-    return {key: render_field(key, read(n, rep)) for key, read in REPORT_FIELDS.items()}
+def report_to_dict(rep: AnalysisReport) -> dict:
+    """The report as JSON-ready fields."""
+    return {key: render_field(key, value) for key, value in zip(REPORT_FIELDS, rep)}
+
+
+def render_report_text(rep: AnalysisReport) -> str:
+    """The report as a table of labelled rows, P in x and h in t."""
+    width = max(map(len, REPORT_FIELDS.values())) + 2
+    rows = []
+    for (key, label), value in zip(REPORT_FIELDS.items(), rep):
+        if isinstance(value, IntPolynomial):
+            value = value.format("t" if key == "h_polynomial" else "x")
+        elif isinstance(value, bool):
+            value = "yes" if value else "no"
+        rows.append(f"{label + ':':<{width}}{value}")
+    return "\n".join(rows)

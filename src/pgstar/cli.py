@@ -25,7 +25,7 @@ import sys
 from contextlib import contextmanager
 
 from . import families, verification
-from .analysis import AnalysisReport, analyze, render_field, report_to_dict
+from .analysis import AnalysisReport, analyze, render_field, render_report_text, report_to_dict
 from .graphs import (
     CameronWalkerSpec,
     EnumerationLimitError,
@@ -44,33 +44,10 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 EXIT_INTERNAL = 4
 
-def _yesno(flag: bool) -> str:
-    return "yes" if flag else "no"
 
-
-def render_report_text(n: int, rep: AnalysisReport) -> str:
-    rows = [
-        ("n", str(n)),
-        ("alpha", str(rep.alpha)),
-        ("independence poly", rep.ind_poly.format("x")),
-        ("P(-1)", str(rep.p_minus_one)),
-        ("multiplicity of -1", str(rep.multiplicity)),
-        ("a-invariant", str(rep.a_invariant)),
-        ("h-polynomial", rep.h_poly.format("t")),
-        ("h degree", str(rep.h_degree)),
-        ("h top (deg alpha)", str(rep.h_top)),
-        ("pseudo-Gorenstein", _yesno(rep.pseudo_gorenstein)),
-        ("pseudo-Gorenstein*", _yesno(rep.pseudo_gorenstein_star)),
-    ]
-    width = max(len(k) for k, _ in rows) + 2
-    return "\n".join(f"{k + ':':<{width}}{v}" for k, v in rows)
-
-
-def _emit(payload: dict, text: str, output: str) -> None:
-    if output == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+def _emit(rendered: str) -> None:
+    """Print a command's output, rendered in the one form it asked for."""
+    print(rendered)
 
 
 # -- family construction ----------------------------------------------------
@@ -102,6 +79,8 @@ def _cw_spec_from_args(args) -> CameronWalkerSpec:
         raise ValueError(
             "family 'cameron-walker' needs --core-x, --core-y, --core-edges, --leaves"
         )
+    # the core alone must fit before a triangle count is listed per Y vertex
+    _check_family_size(args.core_x + args.core_y, 0)
     return CameronWalkerSpec(
         core_x=args.core_x,
         core_y=args.core_y,
@@ -182,31 +161,38 @@ def cmd_compute(args) -> int:
     g = load_graph(args.input, args.format)
     rep = analyze(g)
     with _every_digit():
-        _emit(report_to_dict(g.n, rep), render_report_text(g.n, rep), args.output)
+        if args.output == "json":
+            _emit(json.dumps(report_to_dict(rep), indent=2))
+        else:
+            _emit(render_report_text(rep))
     return EXIT_OK
 
 
 def _emit_compared(
-    output: str, fields: dict, header: str, n: int, rep: AnalysisReport, predicted: dict | None
+    output: str, fields: dict, header: str, rep: AnalysisReport, predicted: dict | None
 ) -> int:
-    """Emit the report of an n-vertex graph after ``fields`` and ``header``,
-    and, when there is a prediction, the prediction and its agreement."""
+    """Emit the report after ``fields`` and ``header``, and, when there is a
+    prediction, the prediction and its agreement."""
     with _every_digit():
         agreement = None
-        lines = [header, render_report_text(n, rep)]
         if predicted is not None:
-            agreement = not verification.prediction_mismatches("", predicted, n, rep)
+            agreement = not verification.prediction_mismatches("", predicted, rep)
             predicted = {k: render_field(k, v) for k, v in predicted.items()}
-            lines.append("prediction:")
-            lines.extend(f"  {k}: {v}" for k, v in predicted.items())
-            lines.append(f"agreement: {_yesno(agreement)}")
-        payload = {
-            **fields,
-            "computed": report_to_dict(n, rep),
-            "predicted": predicted,
-            "agreement": agreement,
-        }
-        _emit(payload, "\n".join(lines), output)
+        if output == "json":
+            payload = {
+                **fields,
+                "computed": report_to_dict(rep),
+                "predicted": predicted,
+                "agreement": agreement,
+            }
+            _emit(json.dumps(payload, indent=2))
+        else:
+            lines = [header, render_report_text(rep)]
+            if predicted is not None:
+                lines.append("prediction:")
+                lines.extend(f"  {k}: {v}" for k, v in predicted.items())
+                lines.append(f"agreement: {'yes' if agreement else 'no'}")
+            _emit("\n".join(lines))
     return EXIT_OK
 
 
@@ -214,7 +200,7 @@ def cmd_family(args) -> int:
     g, params, predicted = _build_family(args)
     fields = {"family": args.family, "parameters": params}
     header = f"family: {args.family} {params}"
-    return _emit_compared(args.output, fields, header, g.n, analyze(g), predicted)
+    return _emit_compared(args.output, fields, header, analyze(g), predicted)
 
 
 def _set_roles(g: Graph, members: frozenset[int]) -> list[str]:
@@ -265,11 +251,10 @@ def cmd_suspend(args) -> int:
         raise ValueError("attachment set must be nonempty")
     roles = _set_roles(g, members)
     h = suspension(g, members)
-    rep = analyze(h)
     predicted = _suspension_prediction(args, g, members, roles)
     fields = {"base_n": g.n, "attachment": sorted(members), "roles": roles}
     header = f"suspension over {sorted(members)} (roles: {', '.join(roles)})"
-    return _emit_compared(args.output, fields, header, h.n, rep, predicted)
+    return _emit_compared(args.output, fields, header, analyze(h), predicted)
 
 
 def _run_sweep(args) -> verification.VerifyOutcome:
@@ -297,16 +282,17 @@ def cmd_verify(args) -> int:
     with _every_digit():
         outcome = _run_sweep(args)
         if args.output == "json":
-            print(json.dumps(outcome.to_dict(), indent=2))
+            _emit(json.dumps(outcome.to_dict(), indent=2))
         else:
             status = "PASS" if outcome.passed else "FAIL"
-            print(
+            lines = [
                 f"theorem {outcome.theorem}: {outcome.instances} instances, "
                 f"{len(outcome.mismatches)} mismatches -> {status}"
                 + (f" (seed {outcome.seed})" if outcome.seed is not None else "")
-            )
+            ]
             for m in outcome.mismatches:
-                print(f"  {m.instance}: expected {m.expected}, got {m.got}")
+                lines.append(f"  {m.instance}: expected {m.expected}, got {m.got}")
+            _emit("\n".join(lines))
     return EXIT_OK if outcome.passed else EXIT_MISMATCH
 
 

@@ -202,15 +202,14 @@ def _gather(theorem, checks, items, jobs, seed=None) -> VerifyOutcome:
     return VerifyOutcome(theorem, len(results), mismatches, seed)
 
 
-# what a prediction may state: a field of the report, or whether the
-# a-invariant vanishes
-_PREDICTABLE = {**REPORT_FIELDS, "a_invariant_zero": lambda n, rep: rep.a_invariant == 0}
+# where each field sits in a report, for the keys a prediction states
+_POSITION = {key: i for i, key in enumerate(REPORT_FIELDS)}
 
 
 def prediction_mismatches(
-    instance: str, predicted: dict, n: int, rep: AnalysisReport
+    instance: str, predicted: dict, rep: AnalysisReport
 ) -> tuple[Mismatch, ...]:
-    """Every predicted field that the report of an n-vertex graph contradicts.
+    """Every predicted field that the report contradicts.
 
     ``predicted`` holds report values keyed like ``REPORT_FIELDS``; a key
     the report does not carry, such as ``case``, is skipped, and
@@ -219,12 +218,15 @@ def prediction_mismatches(
     """
     out = []
     for key, want in predicted.items():
-        read = _PREDICTABLE.get(key)
-        if read is not None:
-            got = read(n, rep)
-            if got != want:
-                expected, found = (str(render_field(key, v)) for v in (want, got))
-                out.append(Mismatch(f"{instance} {key}", expected, found))
+        if key == "a_invariant_zero":
+            got = rep.a_invariant == 0
+        elif key in _POSITION:
+            got = rep[_POSITION[key]]
+        else:
+            continue
+        if got != want:
+            expected, found = (str(render_field(key, v)) for v in (want, got))
+            out.append(Mismatch(f"{instance} {key}", expected, found))
     return tuple(out)
 
 
@@ -351,35 +353,28 @@ def random_cameron_walker_specs(
 
 def _check_prediction(item: tuple[str, Graph, dict]) -> tuple[Mismatch, ...]:
     name, g, predicted = item
-    return prediction_mismatches(name, predicted, g.n, analyze(g))
+    return prediction_mismatches(name, predicted, analyze(g))
 
 
-def _independent_sets(g: Graph) -> Iterator[frozenset[int]]:
+def _independent_sets(g: Graph) -> list[frozenset[int]]:
     """Nonempty independent sets of g, by size and then lexicographically.
 
-    Each size is walked depth first over vertices in label order, and a
-    branch only ever adds a vertex that has no neighbor in it, so the walk
-    never visits a dependent set.  Sizes stop at the first one with no set.
+    One depth-first walk over vertices in label order lists them
+    lexicographically, and a branch only ever adds a vertex that has no
+    neighbor in it, so the walk never visits a dependent set.  A stable
+    sort by size keeps that order within each size.
     """
     adj = g._adj
+    found = []
 
-    def extend(chosen: tuple[int, ...], allowed: int, need: int):
-        if not need:
-            yield frozenset(chosen)
-            return
-        while allowed.bit_count() >= need:
-            b = allowed & -allowed
-            allowed ^= b
-            v = b.bit_length() - 1
-            yield from extend(chosen + (v + 1,), allowed & ~adj[v], need - 1)
+    def extend(chosen: frozenset[int], allowed: int) -> None:
+        for v in _bits(allowed):
+            found.append(grown := chosen | {v + 1})
+            # later branches add only higher vertices
+            extend(grown, (allowed & ~adj[v]) >> (v + 1) << (v + 1))
 
-    for size in range(1, g.n + 1):
-        found = False
-        for s in extend((), (1 << g.n) - 1, size):
-            found = True
-            yield s
-        if not found:
-            return
+    extend(frozenset(), (1 << g.n) - 1)
+    return sorted(found, key=len)
 
 
 def _check_vc_suspension(item: tuple[int, Graph]) -> tuple[Mismatch, ...]:
@@ -405,7 +400,7 @@ def _check_vc_suspension(item: tuple[int, Graph]) -> tuple[Mismatch, ...]:
             predicted["h_polynomial"] = one_minus_t * rep.h_poly + t
         gz = suspension(g, cover)
         name = f"graph#{index} S={sorted(s_set)}"
-        out.extend(prediction_mismatches(name, predicted, gz.n, analyze(gz)))
+        out.extend(prediction_mismatches(name, predicted, analyze(gz)))
     return tuple(out)
 
 
@@ -442,7 +437,7 @@ def _check_cycle_mis_suspension(item: tuple[int, int]) -> tuple[Mismatch, ...]:
             predicted["independence_polynomial"] = IntPolynomial((1, 4, 2))
             predicted["h_polynomial"] = IntPolynomial((1, 2, -1))
         gz = suspension(g, picks)
-        out.extend(prediction_mismatches(name, predicted, gz.n, analyze(gz)))
+        out.extend(prediction_mismatches(name, predicted, analyze(gz)))
         c = len(picks)
         out.extend(_structure_mismatch(name, gz, c, n - 2 * c))
     return tuple(out)
@@ -468,7 +463,7 @@ def _check_path_mis_suspension(item: tuple[int, int]) -> tuple[Mismatch, ...]:
         predicted = families.predict_mis_suspension(params)
         gz = suspension(g, picks)
         rep = analyze(gz)
-        out.extend(prediction_mismatches(name, predicted, gz.n, rep))
+        out.extend(prediction_mismatches(name, predicted, rep))
         if not predicted["a_invariant_zero"] and rep.a_invariant >= 0:
             out.append(Mismatch(f"{name} a-invariant sign", "< 0", str(rep.a_invariant)))
     return tuple(out)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from pgstar.analysis import (
     MEMO_MAX_ALPHA,
     MEMO_SIZE,
+    REPORT_FIELDS,
+    AnalysisReport,
     _analyze_polynomial,
     a_invariant,
     analyze,
@@ -199,6 +201,24 @@ def test_report_internal_consistency(g):
         rep.p_minus_one == (-1) ** rep.alpha
     )
     assert rep.pseudo_gorenstein_star == (rep.pseudo_gorenstein and rep.a_invariant == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=8))
+@example(Graph(0))
+@example(path_graph(300))  # alpha = 150, past the memo
+def test_report_counts_the_vertices(g):
+    # n is the coefficient of x in P: every vertex is an independent set
+    assert analyze(g).n == g.n
+
+
+def test_report_fields_follow_the_report_in_order():
+    renamed = {
+        "ind_poly": "independence_polynomial",
+        "p_minus_one": "p_at_minus_one",
+        "h_poly": "h_polynomial",
+    }
+    assert list(REPORT_FIELDS) == [renamed.get(f, f) for f in AnalysisReport._fields]
 
 
 def test_deg_h_equals_alpha_minus_multiplicity_corpus():

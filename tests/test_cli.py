@@ -58,6 +58,23 @@ def test_golden_output_covers_every_sweep():
     assert {f"verify-{t}-{out}" for t in SWEEPS for out in ("text", "json")} <= ids
 
 
+REPORTS = [case for case in GOLDEN if case["argv"][0] in ("compute", "family", "suspend")]
+
+
+@pytest.mark.parametrize("case", REPORTS, ids=[case["id"] for case in REPORTS])
+def test_a_report_is_rendered_only_in_the_form_printed(case, c6_file, capsys, monkeypatch):
+    argv = [c6_file if arg == "{c6}" else arg for arg in case["argv"]]
+    output = argv[argv.index("--output") + 1] if "--output" in argv else "text"
+    unused = "render_report_text" if output == "json" else "report_to_dict"
+
+    def refuse(rep):
+        raise AssertionError(f"{unused} called under --output {output}")
+
+    monkeypatch.setattr(cli, unused, refuse)
+    code, out, _ = run_cli(argv, capsys)
+    assert (code, out) == (case["exit"], case["stdout"])
+
+
 def test_compute_text(c6_file, capsys):
     code, out, _ = run_cli(["compute", c6_file], capsys)
     assert code == 0
@@ -491,6 +508,21 @@ def test_family_over_the_vertex_limit_exits_3(argv, capsys):
     assert err == f"error: {MAX_VERTICES + 1} vertices exceed the limit of {MAX_VERTICES}\n"
 
 
+@pytest.mark.parametrize(
+    "command", [["family"], ["suspend", "--full", "--family"]], ids=["family", "suspend"]
+)
+def test_a_huge_cameron_walker_core_exits_3_before_it_is_listed(command, capsys):
+    # one triangle count per Y vertex would take 8 PB; the core is refused first
+    y = 10**15
+    code, out, err = run_cli(
+        [*command, "cameron-walker", "--core-x", "1", "--core-y", str(y),
+         "--core-edges", "1:1", "--leaves", "1"],
+        capsys,
+    )
+    assert (code, out) == (3, "")
+    assert err == f"error: {y + 1} vertices exceed the limit of {MAX_VERTICES}\n"
+
+
 def test_family_over_the_edge_limit_exits_3(capsys):
     # K_(1001, 1000) has 1 001 000 edges; the check runs before any is listed
     code, out, err = run_cli(["family", "multipartite", "--parts", "1001,1000"], capsys)
@@ -654,10 +686,10 @@ def test_a_report_past_the_digit_limit_renders_only_inside_every_digit():
     try:
         for render in (cli.report_to_dict, cli.render_report_text):
             with pytest.raises(ValueError):
-                render(big, rep)
+                render(rep)
         with cli._every_digit():
-            fields = cli.report_to_dict(big, rep)
-            text = cli.render_report_text(big, rep)
+            fields = cli.report_to_dict(rep)
+            text = cli.render_report_text(rep)
         assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(old)

@@ -379,7 +379,7 @@ def test_e_zero_detection_equals_canonical_set():
 
 def test_predictions_are_keyed_like_the_report():
     # a misspelled key would be skipped by the comparison and never checked
-    report_keys = set(report_to_dict(0, analyze(path_graph(0)))) | {"case", "a_invariant_zero"}
+    report_keys = set(report_to_dict(analyze(path_graph(0)))) | {"case", "a_invariant_zero"}
     predictions = [
         families.predict_chain("path", 9),
         families.predict_chain("cycle", 17),

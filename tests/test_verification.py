@@ -257,7 +257,7 @@ def test_wrong_polynomial_predictions_are_reported_as_rendered_lists():
         "h_top": 2**70,
         "a_invariant_zero": False,
     }
-    assert prediction_mismatches("C_5", predicted, 5, rep) == (
+    assert prediction_mismatches("C_5", predicted, rep) == (
         Mismatch("C_5 independence_polynomial", "['1', '5', '6']", "['1', '5', '5']"),
         Mismatch("C_5 h_polynomial", "['1', '3', '2']", "['1', '3', '1']"),
         Mismatch("C_5 p_at_minus_one", "-1", "1"),
