@@ -11,6 +11,7 @@ standard 6-bit encoding, restricted here to the single-byte size field
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterable
 
 from .graphs import EnumerationLimitError, Graph, _from_masks
 
@@ -33,15 +34,22 @@ class ParseError(ValueError):
         super().__init__(prefix + message)
 
 
-def _data_lines(text: str):
-    for number, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield number, stripped
+def _data_lines(text: str | Iterable[str]):
+    # a str is one chunk and an open file one chunk per line read; each chunk
+    # is split as str.splitlines() splits, which also breaks lines at \x0c,
+    # \x85 and the like, where reading a file line by line does not
+    chunks = [text] if isinstance(text, str) else text
+    number = 0
+    for chunk in chunks:
+        for raw in chunk.splitlines():
+            number += 1
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            yield number, stripped
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str | Iterable[str]) -> Graph:
     lines = _data_lines(text)
     try:
         header_no, header = next(lines)
@@ -143,13 +151,17 @@ def parse_graph6(text: str) -> Graph:
 
 
 def load_graph(path: str | Path, fmt: str = "auto") -> Graph:
-    """Read a graph file; ``auto`` picks graph6 for .g6/.graph6 suffixes."""
+    """Read a graph file; ``auto`` picks graph6 for .g6/.graph6 suffixes.
+
+    An edge list is parsed from the open file line by line, so a refused
+    header ends the read at its own line.
+    """
     path = Path(path)
-    text = path.read_text()
     if fmt == "auto":
         fmt = "graph6" if path.suffix in (".g6", ".graph6") else "edge-list"
     if fmt == "graph6":
-        return parse_graph6(text)
-    if fmt == "edge-list":
-        return parse_edge_list(text)
-    raise ValueError(f"unknown format {fmt!r}")
+        return parse_graph6(path.read_text())
+    if fmt != "edge-list":
+        raise ValueError(f"unknown format {fmt!r}")
+    with path.open() as lines:
+        return parse_edge_list(lines)

@@ -96,28 +96,19 @@ class Graph:
     # -- set predicates ----------------------------------------------------
 
     def _set_mask(self, s: Iterable[int]) -> int:
-        # one bounds check per set: a label below 1 makes a negative shift,
-        # one above n leaves a bit at position n or higher
+        # each label is compared with 1..n before it is shifted: shifting
+        # first would build an int of as many bits as a huge label
+        n = self._n
         mask = 0
-        try:
-            for v in s:
-                mask |= 1 << (v - 1)
-        except ValueError:
-            mask = -1
-        if mask < 0 or mask >> self._n:
-            raise ValueError(f"vertex set has a label outside 1..{self._n}")
+        for v in s:
+            if not 1 <= v <= n:
+                raise ValueError(f"vertex set has a label outside 1..{n}")
+            mask |= 1 << (v - 1)
         return mask
 
     def _spans_no_edge(self, mask: int) -> bool:
-        # inline bit loop, not ``_bits``: the set predicates are called in bulk
         adj = self._adj
-        m = mask
-        while m:
-            b = m & -m
-            m ^= b
-            if adj[b.bit_length() - 1] & mask:
-                return False
-        return True
+        return not any(adj[v] & mask for v in _bits(mask))
 
     def is_independent(self, s: Iterable[int]) -> bool:
         """True iff no edge has both endpoints in s."""
@@ -249,18 +240,13 @@ def suspension(g: Graph, attach: Iterable[int]) -> Graph:
     The attachment set must be a nonempty subset of the vertices; taking
     all of V gives the full suspension (cone).
     """
-    attach = sorted(set(attach))
-    if not attach:
+    attached = g._set_mask(attach)
+    if not attached:
         raise ValueError("suspension needs a nonempty attachment set")
-    for c in attach:
-        if not (1 <= c <= g.n):
-            raise ValueError(f"attachment vertex {c} outside 1..{g.n}")
     apex = 1 << g.n
     adj = list(g._adj)
-    attached = 0
-    for c in attach:
-        adj[c - 1] |= apex
-        attached |= 1 << (c - 1)
+    for c in _bits(attached):
+        adj[c] |= apex
     adj.append(attached)
     return _from_masks(adj)
 

@@ -64,7 +64,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .graphs import EnumerationLimitError, Graph, mask_components
+from .graphs import EnumerationLimitError, Graph, _bits, mask_components
 from .polynomials import ONE, IntPolynomial
 
 BRUTE_FORCE_LIMIT = 26
@@ -107,6 +107,8 @@ def _thin_order(adj: Sequence[int], mask: int) -> list[tuple[int, int]] | None:
     width = FRONTIER_WIDTH
     steps = []
     rest = mask
+    # the label-order loops stay inline, not ``_bits``: each step reads the
+    # rest of the mask after its own bit
     if mask.bit_count() <= width + 1:
         while rest:
             bit = rest & -rest
@@ -141,6 +143,7 @@ def _thin_order(adj: Sequence[int], mask: int) -> list[tuple[int, int]] | None:
     floor = 0
     while rest:
         if frontier:
+            # inline, not ``_bits``: this scan runs at every greedy step
             best_new = best_rest = mask.bit_length()
             f = frontier
             while f:
@@ -152,23 +155,20 @@ def _thin_order(adj: Sequence[int], mask: int) -> list[tuple[int, int]] | None:
                 if new <= best_new:
                     count = around.bit_count()
                     if new < best_new or count < best_rest:
-                        best_new, best_rest, v, bit = new, count, u, b
+                        best_new, best_rest, v = new, count, u
         else:
             # no processed vertex has a neighbour left in rest, so degrees
             # in rest are degrees in mask: the minimum never drops, and a
             # vertex at the last minimum is a minimum again
             best = mask.bit_length()
-            m = rest
-            while m:
-                b = m & -m
-                m ^= b
-                u = b.bit_length() - 1
+            for u in _bits(rest):
                 d = (adj[u] & rest).bit_count()
                 if d < best:
-                    best, v, bit = d, u, b
+                    best, v = d, u
                     if d == floor:
                         break
             floor = best
+        bit = 1 << v
         rest ^= bit
         later = adj[v] & rest
         frontier = (frontier | later) & rest
@@ -289,15 +289,7 @@ def independence_polynomial(g: Graph) -> IntPolynomial:
         pieces = mask_components(adj, mask)
         pivoted = len(pieces) == 1
         if pivoted:
-            best_v = best_deg = -1
-            m = mask
-            while m:
-                b = m & -m
-                m ^= b
-                v = b.bit_length() - 1
-                d = (adj[v] & mask).bit_count()
-                if d > best_deg:
-                    best_deg, best_v = d, v
+            best_v = max(_bits(mask), key=lambda v: (adj[v] & mask).bit_count())
             bit = 1 << best_v
             pieces = (mask & ~bit, mask & ~(bit | adj[best_v]))
         stack.append((mask, pieces, pivoted))

@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pgstar
@@ -294,6 +294,16 @@ def test_suspend_empty_set_exits_2(capsys):
         ["suspend", "--family", "cycle", "--n", "5", "--set", ""], capsys
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("label", ["0", "7", "1000000000000000"])
+def test_suspend_label_outside_the_base_exits_2(label, c6_file, capsys):
+    # a label is compared with 1..n before it is shifted into a mask, so a
+    # 10**15 label is refused like 0, not turned into a 10**15-bit int
+    code, out, err = run_cli(["suspend", "--input", c6_file, "--set", f"1,{label}"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: vertex set has a label outside 1..6\n"
 
 
 def test_verify_pass_and_exit_codes(capsys):
@@ -813,6 +823,10 @@ def test_closed_stdout_exits_0_quietly(tmp_path):
 JUNK = st.sampled_from(["99999999999999999999", "1.5", "x", ""])
 FUZZ_NUMBERS = st.integers(-2, 13).map(str) | JUNK
 SWEEP_NUMBERS = st.integers(-2, 5).map(str) | JUNK
+# suspend's --set labels also reach 10**18, far past any vertex
+SET_LABELS = st.lists(st.integers(-2, 13) | st.integers(-2, 10**18), min_size=1, max_size=3).map(
+    lambda labels: ",".join(map(str, labels))
+)
 
 
 @st.composite
@@ -865,9 +879,14 @@ SMALL_SWEEP = ["--max-n", "5", "--random", "3", "--count", "3", "--exhaustive-n"
 def fuzz_argvs(draw):
     command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
     numbers = SWEEP_NUMBERS if command == "verify" else FUZZ_NUMBERS
-    fragment = st.sampled_from(FUZZ_COMMANDS[command]) | FUZZ_WORDS | numbers
+    fragment = (st.sampled_from(FUZZ_COMMANDS[command]) | FUZZ_WORDS | numbers).map(
+        lambda word: [word]
+    )
+    if command == "suspend":
+        fragment |= st.just(["--input", "FILE"]) | SET_LABELS.map(lambda labels: ["--set", labels])
     lead = SMALL_SWEEP if command == "verify" else []
-    return [command, *lead, *draw(st.lists(fragment, max_size=6))]
+    words = [word for words in draw(st.lists(fragment, max_size=6)) for word in words]
+    return [command, *lead, *words]
 
 
 @settings(max_examples=200, deadline=None)
@@ -876,6 +895,8 @@ def fuzz_argvs(draw):
     text=malformed_edge_lists() | malformed_graph6(),
     suffix=st.sampled_from([".txt", ".g6"]),
 )
+@example(argv=["suspend", "--input", "FILE", "--set", "1,10000000000000000"], text=C6_TEXT,
+         suffix=".txt")
 def test_fuzzed_command_lines_exit_with_a_documented_code(argv, text, suffix):
     """Any command line, over any input file, ends in exit 0, 1, 2 or 3,
     with one ``error:`` line on stderr for 2 and 3 and no traceback."""

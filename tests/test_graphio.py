@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pgstar.graphio import (
@@ -12,7 +13,13 @@ from pgstar.graphio import (
     parse_graph6,
     serialize_edge_list,
 )
-from pgstar.graphs import Graph, complete_multipartite, cycle_graph, path_graph
+from pgstar.graphs import (
+    EnumerationLimitError,
+    Graph,
+    complete_multipartite,
+    cycle_graph,
+    path_graph,
+)
 
 from .strategies import graphs
 
@@ -90,6 +97,70 @@ def test_shuffled_and_reversed_edge_lines_parse_back(g, rng):
     lines = [f"{v} {u}" if rng.random() < 0.5 else f"{u} {v}" for u, v in g.edges()]
     rng.shuffle(lines)
     assert parse_edge_list("\n".join([f"{g.n} {len(lines)}", *lines]) + "\n") == g
+
+
+# -- reading a file line by line ----------------------------------------------
+
+
+@pytest.mark.parametrize("header", ["20001 1", "2 1000001"])
+def test_a_refused_header_is_the_last_line_read(header):
+    def lines():
+        yield header + "\n"
+        raise AssertionError("a line after the refused header was read")
+
+    with pytest.raises(EnumerationLimitError, match="exceed the limit"):
+        parse_edge_list(lines())
+
+
+def test_load_graph_stops_reading_at_a_refused_header(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("20001 1000000\n" + "1 2\n" * 300_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationLimitError, match="20001 vertices"):
+            load_graph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# every line boundary of str.splitlines(); reading a file line by line breaks
+# only at the first three
+SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+              "\u2029"]
+
+
+@st.composite
+def separated_edge_lists(draw):
+    """Edge-list text of up to 5 vertices, some lines blank or comments, each
+    line but perhaps the last ended by any separator."""
+    n = draw(st.integers(0, 5))
+    ends = st.integers(0, n + 1).map(str)
+    lines = [f"{n} {draw(st.integers(0, 4))}"]
+    lines += [f"{draw(ends)} {draw(ends)}" for _ in range(draw(st.integers(0, 5)))]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "# c"])))
+    separator = st.sampled_from(SEPARATORS)
+    last = draw(separator | st.just(""))
+    return "".join(line + draw(separator) for line in lines[:-1]) + lines[-1] + last
+
+
+def _graph_or_message(parse, source):
+    try:
+        return parse(source)
+    except ParseError as exc:
+        return str(exc)
+
+
+@given(text=separated_edge_lists())
+@example(text="3 2\n1 2\x0c2 3\n")
+def test_a_file_is_split_into_lines_as_its_text_is(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("lines") / "g.txt"
+    path.write_text(text)
+    assert _graph_or_message(load_graph, path) == _graph_or_message(
+        parse_edge_list, path.read_text()
+    )
 
 
 # -- graph6 -------------------------------------------------------------------

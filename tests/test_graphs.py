@@ -1,3 +1,5 @@
+import tracemalloc
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -90,13 +92,23 @@ def test_is_independent():
         c4.is_independent({0})
 
 
-@pytest.mark.parametrize("label", [0, -1, 5, 64])
+@pytest.mark.parametrize("label", [0, -1, 5, 64, 10**8])
 @pytest.mark.parametrize(
-    "predicate", ["is_independent", "is_vertex_cover", "is_maximal_independent"]
+    "predicate", ["is_independent", "is_vertex_cover", "is_maximal_independent", "suspension"]
 )
 def test_set_predicates_reject_labels_outside_range(predicate, label):
-    with pytest.raises(ValueError, match=r"outside 1\.\.4"):
-        getattr(cycle_graph(4), predicate)([1, label])
+    # suspension reads its attachment set like the predicates; each label is
+    # refused before it is shifted, which for 10**8 would build a 12.5 MB int
+    c4 = cycle_graph(4)
+    check = partial(suspension, c4) if predicate == "suspension" else getattr(c4, predicate)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"outside 1\.\.4"):
+            check([1, label])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_is_vertex_cover():
