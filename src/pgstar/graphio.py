@@ -37,12 +37,21 @@ class ParseError(ValueError):
 def _data_lines(text: str | Iterable[str]):
     # a str is one chunk and an open file one chunk per line read; each chunk
     # is split as str.splitlines() splits, which also breaks lines at \x0c,
-    # \x85 and the like, where reading a file line by line does not
+    # \x85 and the like, where reading a file line by line does not.  A file
+    # is decoded with errors="surrogateescape", which turns an undecodable
+    # byte into a lone surrogate, the one kind of character UTF-8 cannot
+    # encode, so the byte is reported at its own line
     chunks = [text] if isinstance(text, str) else text
     number = 0
     for chunk in chunks:
         for raw in chunk.splitlines():
             number += 1
+            if not raw.isascii():
+                try:
+                    raw.encode()
+                except UnicodeEncodeError as exc:
+                    byte = ord(raw[exc.start]) & 0xFF
+                    raise ParseError(f"undecodable byte 0x{byte:02x}", number) from None
             stripped = raw.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -154,7 +163,8 @@ def load_graph(path: str | Path, fmt: str = "auto") -> Graph:
     """Read a graph file; ``auto`` picks graph6 for .g6/.graph6 suffixes.
 
     An edge list is parsed from the open file line by line, so a refused
-    header ends the read at its own line.
+    header ends the read at its own line, and an undecodable byte is
+    reported at its line.
     """
     path = Path(path)
     if fmt == "auto":
@@ -163,5 +173,5 @@ def load_graph(path: str | Path, fmt: str = "auto") -> Graph:
         return parse_graph6(path.read_text())
     if fmt != "edge-list":
         raise ValueError(f"unknown format {fmt!r}")
-    with path.open() as lines:
+    with path.open(errors="surrogateescape") as lines:
         return parse_edge_list(lines)

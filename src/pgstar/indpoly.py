@@ -22,7 +22,9 @@ two sides:
      k - 1 <= FRONTIER_WIDTH vertices are unprocessed, and the frontier
      lies among them, so every such subgraph reaches this side with at
      most 2^(k-1) states per step.  No search could change that side: no
-     order of k vertices has a frontier of more than k - 1.
+     order of k vertices has a frontier of more than k - 1.  A whole
+     graph this small goes straight to the loop, with no pivot stack and
+     no cache.
   2. A larger subgraph is walked in label order, and keeps it if the
      frontier never holds more than min(delta + 1, FRONTIER_WIDTH)
      vertices, delta the least degree in the subgraph.  No order can do
@@ -44,7 +46,13 @@ two sides:
 
   The walk and the greedy order stop as soon as the frontier outgrows
   their bound, so a wide subgraph costs little more than its first
-  steps.  On a subgraph of k <= ``PACK_MAX_N`` vertices a state is one
+  steps.  Only the greedy order is built as a list: the loop reads label
+  order off the mask itself, each step taking the lowest vertex left,
+  whose later neighbours are its neighbours among the vertices left.  A
+  vertex with no later neighbour updates each state once, since joining
+  it blocks nothing new, and the last vertex, which leaves at most the
+  states {} and {v}, is summed into the result without a new state
+  table.  On a subgraph of k <= ``PACK_MAX_N`` vertices a state is one
   int, its counts evaluated at x = 2^k (Kronecker substitution): the
   sets of one size among k vertices number below 2^k, so no k-bit slot
   carries, a join is one shift and a merge one addition.  A larger
@@ -56,8 +64,9 @@ two sides:
   components, whose polynomials multiply, and a connected one uses
   P(G) = P(G - v) + x * P(G - N[v]) at a maximum-degree vertex v.  Each
   piece goes back through the dispatch.  The pivots run from an explicit
-  stack, so no graph hits Python's recursion limit.  Results are cached
-  per mask for the duration of one call.
+  stack, so no graph hits Python's recursion limit.  A graph of more
+  than FRONTIER_WIDTH + 1 vertices caches the result of each of its
+  masks for the duration of one call.
 """
 
 from __future__ import annotations
@@ -85,41 +94,40 @@ FRONTIER_WIDTH = 10
 # Largest frontier subgraph whose states are packed into one int each
 # (see _packed_frontier_polynomial); larger ones keep coefficient lists.
 # Frontier loop alone, packed time / list time (2 cores, CPython 3.11,
-# median of 21): 0.34-0.43 at 128 vertices and 0.42-0.48 at 256 over
+# median of 21): 0.34-0.46 at 128 vertices and 0.43-0.50 at 256 over
 # paths, cycles, edgeless graphs, ladders, 4 x k grids and caterpillars;
-# 0.61-0.72 at 512, 0.68-0.85 at 640, 0.78-1.05 at 768 and 0.93-1.37 at
+# 0.56-0.70 at 512, 0.65-0.76 at 640, 0.77-0.90 at 768 and 0.92-1.05 at
 # 1024.  512 keeps a margin below that crossover.
 PACK_MAX_N = 512
 
+# The order ``_thin_order`` gives for ascending label order.  The kernels
+# walk it off the mask, lowest bit first, so no list of it is built.
+LABEL_ORDER: tuple[int, ...] = ()
 
-def _thin_order(adj: Sequence[int], mask: int) -> list[tuple[int, int]] | None:
-    """An order of ``mask`` as (vertex bit, its later neighbours) steps, or
-    None as soon as the frontier holds more than FRONTIER_WIDTH vertices.
 
-    A mask of k <= FRONTIER_WIDTH + 1 vertices is taken in ascending label
-    order: after its first step at most k - 1 vertices are unprocessed, so
-    the frontier fits the width and the loop holds at most 2^(k-1) states.
-    A larger mask keeps label order if its frontier stays within
-    min(least degree + 1, FRONTIER_WIDTH), which no order beats by more
-    than one vertex, and gets the greedy order otherwise (rules 2 and 3 of
-    the module docstring).
+def _thin_order(adj: Sequence[int], mask: int) -> Sequence[int] | None:
+    """The vertices of ``mask`` in an order whose frontier never holds more
+    than FRONTIER_WIDTH vertices, or None if the order search finds none.
+
+    Label order comes back as ``LABEL_ORDER``; only the greedy order is
+    built as a list of vertices.  A mask of k <= FRONTIER_WIDTH + 1
+    vertices takes label order: after its first step at most k - 1
+    vertices are unprocessed, so the frontier fits the width and the loop
+    holds at most 2^(k-1) states.  A larger mask keeps label order if its
+    frontier stays within min(least degree + 1, FRONTIER_WIDTH), which no
+    order beats by more than one vertex, and gets the greedy order
+    otherwise (rules 2 and 3 of the module docstring).
     """
     width = FRONTIER_WIDTH
-    steps = []
-    rest = mask
-    # the label-order loops stay inline, not ``_bits``: each step reads the
-    # rest of the mask after its own bit
     if mask.bit_count() <= width + 1:
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            steps.append((bit, adj[bit.bit_length() - 1] & rest))
-        return steps
+        return LABEL_ORDER
     # label order, kept if its largest frontier is at most the least degree
     # + 1; the least degree seen only falls, so a walk whose frontier has
-    # passed it + 1 has passed the final bound too
+    # passed it + 1 has passed the final bound too.  The loop stays inline,
+    # not ``_bits``: each step reads the rest of the mask after its own bit
     least = width - 1
     frontier = peak = 0
+    rest = mask
     while rest:
         bit = rest & -rest
         rest ^= bit
@@ -127,17 +135,15 @@ def _thin_order(adj: Sequence[int], mask: int) -> list[tuple[int, int]] | None:
         degree = (around & mask).bit_count()
         if degree < least:
             least = degree
-        later = around & rest
-        frontier = (frontier | later) & rest
+        frontier = (frontier | around) & rest
         size = frontier.bit_count()
         if size > peak:
             peak = size
         if peak > least + 1:
             break
-        steps.append((bit, later))
     else:
-        return steps
-    steps = []
+        return LABEL_ORDER
+    order = []
     rest = mask
     frontier = 0
     floor = 0
@@ -168,28 +174,41 @@ def _thin_order(adj: Sequence[int], mask: int) -> list[tuple[int, int]] | None:
                     if d == floor:
                         break
             floor = best
-        bit = 1 << v
-        rest ^= bit
-        later = adj[v] & rest
-        frontier = (frontier | later) & rest
+        rest ^= 1 << v
+        frontier = (frontier | adj[v]) & rest
         if frontier.bit_count() > width:
             return None
-        steps.append((bit, later))
-    return steps
+        order.append(v)
+    return order
 
 
-def _frontier_polynomial(steps: list[tuple[int, int]]) -> IntPolynomial:
-    """Count independent sets along the order: each state maps the blocked,
-    unprocessed vertices to the counts by size of the sets that block them."""
+def _frontier_polynomial(adj: Sequence[int], mask: int, order: Sequence[int]) -> IntPolynomial:
+    """Count the independent sets of ``mask`` along ``order``: each state
+    maps the blocked, unprocessed vertices to the counts by size of the
+    sets that block them."""
+    if not mask:
+        return ONE
     states = {0: [1]}
-    for bit, later in steps:
+    rest = mask
+    greedy = iter(order)
+    while True:
+        if order is LABEL_ORDER:
+            bit = rest & -rest
+            v = bit.bit_length() - 1
+        else:
+            v = next(greedy)
+            bit = 1 << v
+        rest ^= bit
+        if not rest:
+            break
+        later = adj[v] & rest
         new: dict[int, list[int]] = {}
         # every list is held by one state only, so merging adds in place;
-        # the two merges stay inline because this is the engine's inner loop
+        # the merges stay inline because this is the engine's inner loop
         for blocked, counts in states.items():
             if blocked & bit:
                 blocked ^= bit
-            else:
+            elif later:
                 # the vertex joins the set and blocks its later neighbours
                 key = blocked | later
                 joined = [0, *counts]
@@ -202,6 +221,11 @@ def _frontier_polynomial(steps: list[tuple[int, int]]) -> IntPolynomial:
                         new[key] = old
                     for i, c in enumerate(joined):
                         old[i] += c
+            else:
+                # a join blocks nothing new and keeps the key
+                counts.append(0)
+                for i in range(len(counts) - 1, 0, -1):
+                    counts[i] += counts[i - 1]
             old = new.get(blocked)
             if old is None:
                 new[blocked] = counts
@@ -212,39 +236,65 @@ def _frontier_polynomial(steps: list[tuple[int, int]]) -> IntPolynomial:
                 for i, c in enumerate(counts):
                     old[i] += c
         states = new
-    return IntPolynomial(states[0])
+    # the last vertex v: the states are the empty set and at most {v}, and
+    # v joins every set that does not block it
+    free = IntPolynomial(states[0])
+    return free + free.shift(1) + IntPolynomial(states.get(bit, ()))
 
 
-def _packed_frontier_polynomial(steps: list[tuple[int, int]]) -> IntPolynomial:
+def _packed_frontier_polynomial(
+    adj: Sequence[int], mask: int, order: Sequence[int]
+) -> IntPolynomial:
     """``_frontier_polynomial`` with each state's counts packed into one int.
 
     The count of sets of size i sits in bits [i*width, (i+1)*width), so a
     join is one shift and a merge one addition.  With width = k, the
-    subgraph's vertex count (1 when k = 0), no slot carries: a slot counts
-    independent sets of size i among at most k processed vertices, and the
-    counts of all states together are at most C(k, i) < 2^k.
+    mask's vertex count, no slot carries: a slot counts independent sets
+    of size i among at most k processed vertices, and the counts of all
+    states together are at most C(k, i) < 2^k.
     """
-    width = len(steps) or 1
+    if not mask:
+        return ONE
+    width = mask.bit_count()
     states = {0: 1}
-    for bit, later in steps:
+    rest = mask
+    greedy = iter(order)
+    while True:
+        if order is LABEL_ORDER:
+            bit = rest & -rest
+            v = bit.bit_length() - 1
+        else:
+            v = next(greedy)
+            bit = 1 << v
+        rest ^= bit
+        if not rest:
+            break
+        later = adj[v] & rest
         new: dict[int, int] = {}
         # membership tests beat dict.get here, the engine's inner loop
         for blocked, counts in states.items():
             if blocked & bit:
                 blocked ^= bit
-            else:
+            elif later:
                 # the vertex joins the set and blocks its later neighbours
                 key = blocked | later
                 if key in new:
                     new[key] += counts << width
                 else:
                     new[key] = counts << width
+            else:
+                # a join blocks nothing new and keeps the key
+                counts += counts << width
             if blocked in new:
                 new[blocked] += counts
             else:
                 new[blocked] = counts
         states = new
-    packed = states[0]
+    # the last vertex v: the states are the empty set and at most {v}, and
+    # v joins every set that does not block it
+    packed = states[0] << width
+    for counts in states.values():
+        packed += counts
     slot = (1 << width) - 1
     coeffs = []
     while packed:
@@ -253,15 +303,26 @@ def _packed_frontier_polynomial(steps: list[tuple[int, int]]) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
+def _frontier_count(adj: Sequence[int], mask: int, order: Sequence[int]) -> IntPolynomial:
+    """The frontier side on ``mask``: packed states up to PACK_MAX_N vertices."""
+    if mask.bit_count() <= PACK_MAX_N:
+        return _packed_frontier_polynomial(adj, mask, order)
+    return _frontier_polynomial(adj, mask, order)
+
+
 def independence_polynomial(g: Graph) -> IntPolynomial:
     """Coefficient of x^i counts the independent sets of size i.
 
-    Each subgraph goes to the frontier side when ``_thin_order`` finds it
-    an order within ``FRONTIER_WIDTH`` and is split and pivoted otherwise
-    (see the module docstring).  No state survives between calls.
+    A graph of at most FRONTIER_WIDTH + 1 vertices goes straight to the
+    frontier side in label order (rule 1 of the module docstring).  In a
+    larger one each subgraph goes to the frontier side when ``_thin_order``
+    finds it an order within ``FRONTIER_WIDTH`` and is split and pivoted
+    otherwise.  No state survives between calls.
     """
     adj = g._adj
     root = (1 << g.n) - 1
+    if g.n <= FRONTIER_WIDTH + 1:
+        return _frontier_count(adj, root, LABEL_ORDER)
     cache: dict[int, IntPolynomial] = {0: ONE}
     # a frame is (mask, None) before it is split, and (mask, pieces,
     # pivoted) once its pieces are pushed above it
@@ -279,12 +340,9 @@ def independence_polynomial(g: Graph) -> IntPolynomial:
             continue
         if mask in cache:
             continue
-        steps = _thin_order(adj, mask)
-        if steps is not None:
-            if mask.bit_count() <= PACK_MAX_N:
-                cache[mask] = _packed_frontier_polynomial(steps)
-            else:
-                cache[mask] = _frontier_polynomial(steps)
+        order = _thin_order(adj, mask)
+        if order is not None:
+            cache[mask] = _frontier_count(adj, mask, order)
             continue
         pieces = mask_components(adj, mask)
         pivoted = len(pieces) == 1

@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 import random
 from itertools import chain, combinations, combinations_with_replacement
+from operator import or_
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import families
@@ -287,7 +288,7 @@ def all_graphs(n: int) -> Iterator[Graph]:
     low = _edge_set_masks(n, pairs[:half])
     for high in _edge_set_masks(n, pairs[half:]):
         for adj in low:
-            yield _from_masks([a | b for a, b in zip(high, adj)])
+            yield _from_masks(list(map(or_, high, adj)))
 
 
 def all_graphs_up_to(max_n: int) -> Iterator[Graph]:

@@ -144,6 +144,15 @@ def test_compute_malformed_file_exits_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_compute_names_the_line_of_an_undecodable_byte(tmp_path, capsys):
+    path = tmp_path / "p3000.txt"
+    data = ("3000 2999\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 3000))).encode()
+    path.write_bytes(data[:-20] + b"\xff" + data[-20:])
+    code, _, err = run_cli(["compute", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: line 2999: ")
+
+
 def test_compute_missing_file_exits_2(capsys):
     code, _, err = run_cli(["compute", "/nonexistent/file.txt"], capsys)
     assert code == 2

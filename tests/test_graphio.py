@@ -125,6 +125,43 @@ def test_load_graph_stops_reading_at_a_refused_header(tmp_path):
     assert peak < 1 << 20
 
 
+def test_lines_ended_by_a_bare_carriage_return_are_read_one_at_a_time(tmp_path):
+    # the text layer breaks lines at \r as well as \n, so a refused header
+    # is still the last line read
+    path = tmp_path / "huge.txt"
+    path.write_bytes(b"20001 1000000\r" + b"1 2\r" * 300_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationLimitError, match="20001 vertices"):
+            load_graph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def path_file_with_a_bad_byte(tmp_path, first_edge="1 2"):
+    """P_3000 as an edge list, with the byte 0xff (never valid UTF-8) put 20
+    bytes before the end, at the start of line 2999."""
+    lines = [f"{i} {i + 1}\n" for i in range(1, 3000)]
+    lines[0] = first_edge + "\n"
+    data = ("3000 2999\n" + "".join(lines)).encode()
+    path = tmp_path / "p3000.txt"
+    path.write_bytes(data[:-20] + b"\xff" + data[-20:])
+    return path
+
+
+def test_an_undecodable_byte_is_reported_at_its_line(tmp_path):
+    # past the first 8 KB, which a text reader decodes as one chunk
+    with pytest.raises(ParseError, match="^line 2999: undecodable byte 0xff$"):
+        load_graph(path_file_with_a_bad_byte(tmp_path))
+
+
+def test_an_earlier_error_is_reported_before_an_undecodable_byte(tmp_path):
+    with pytest.raises(ParseError, match="^line 2: self-loop at vertex 1$"):
+        load_graph(path_file_with_a_bad_byte(tmp_path, first_edge="1 1"))
+
+
 # every line boundary of str.splitlines(); reading a file line by line breaks
 # only at the first three
 SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",

@@ -24,6 +24,7 @@ from pgstar.indpoly import (
     minus_one_profile,
 )
 from pgstar.polynomials import ONE, IntPolynomial
+from pgstar.verification import _mixed_corpus
 
 from .strategies import graphs
 
@@ -226,22 +227,31 @@ def frontier_sizes(steps) -> list[int]:
     return sizes
 
 
+def steps_of(adj, mask, order):
+    """The (vertex bit, later neighbours) steps of ``order`` over ``mask``,
+    ``LABEL_ORDER`` being ascending label order."""
+    if order is indpoly.LABEL_ORDER:
+        order = [v for v in range(len(adj)) if mask >> v & 1]
+    steps, rest = [], mask
+    for v in order:
+        rest ^= 1 << v
+        steps.append((1 << v, adj[v] & rest))
+    return steps
+
+
 def label_order(adj, mask):
     """The steps of ``mask`` in ascending label order."""
-    return [(1 << v, adj[v] & mask & ~((2 << v) - 1)) for v in range(len(adj)) if mask >> v & 1]
+    return steps_of(adj, mask, indpoly.LABEL_ORDER)
 
 
 def assert_greedy_order(adj, mask):
-    """``_thin_order`` of ``mask`` is not label order, takes every vertex
-    once, and each step's later neighbours are those not yet taken."""
-    steps = indpoly._thin_order(adj, mask)
-    assert steps != label_order(adj, mask)
-    assert sorted(bit for bit, _ in steps) == [1 << v for v in range(len(adj)) if mask >> v & 1]
-    done = 0
-    for bit, later in steps:
-        done |= bit
-        assert later == adj[bit.bit_length() - 1] & mask & ~done
-    return steps
+    """``_thin_order`` of ``mask`` is a list that takes every vertex once,
+    not in ascending label order; returns its steps."""
+    order = indpoly._thin_order(adj, mask)
+    assert isinstance(order, list)
+    assert order != sorted(order)
+    assert sorted(order) == [v for v in range(len(adj)) if mask >> v & 1]
+    return steps_of(adj, mask, order)
 
 
 def relabelled(g, perm):
@@ -261,9 +271,9 @@ def test_small_masks_take_label_order_and_larger_ones_the_greedy_order():
     perm = shuffled(k, 3)
     adj = relabelled(path_graph(k), perm)._adj
     full = (1 << k) - 1
-    # FRONTIER_WIDTH + 1 vertices: exactly the label-order steps
+    # FRONTIER_WIDTH + 1 vertices: label order, with no search
     small = full & ~(1 << (perm[0] - 1))
-    assert indpoly._thin_order(adj, small) == label_order(adj, small)
+    assert indpoly._thin_order(adj, small) is indpoly.LABEL_ORDER
     # one more vertex: label order holds more than least degree + 1 = 2
     # vertices on its frontier, so the greedy order walks the path
     assert max(frontier_sizes(label_order(adj, full))) > 2
@@ -326,19 +336,20 @@ def test_mis_suspensions_and_cones_take_label_order():
     above = 0
     for g in chain(mis_suspensions(), cones(range(12, 25))):
         full = (1 << g.n) - 1
-        assert indpoly._thin_order(g._adj, full) == label_order(g._adj, full)
+        assert indpoly._thin_order(g._adj, full) is indpoly.LABEL_ORDER
         above += g.n > indpoly.FRONTIER_WIDTH + 1
     assert above > 6000
 
 
 def state_visits(graphs) -> int:
     """The frontier states the engine visits on ``graphs``, one per state
-    per step: each kernel's steps replayed over sets of blocked vertices."""
+    per step: each kernel's order replayed over sets of blocked vertices."""
     visits = 0
 
     def counted(kernel):
-        def replay(steps):
+        def replay(adj, mask, order):
             nonlocal visits
+            steps = steps_of(adj, mask, order)
             states = {0}
             for bit, later in steps:
                 visits += len(states)
@@ -350,7 +361,7 @@ def state_visits(graphs) -> int:
                         new.add(blocked | later)
                     new.add(blocked)
                 states = new
-            return kernel(steps)
+            return kernel(adj, mask, order)
 
         return replay
 
@@ -369,6 +380,12 @@ def gnp(n, p, seed):
 
 # exact work on the benchmark's inputs, so an order that costs more states
 # fails here before it shows in a timing
+def test_state_visits_on_tiny_exhaustive():
+    # the graphs of ``verify deg-via-ord`` at its defaults
+    graphs = (g for _, g in _mixed_corpus(500, 10, 1729, 6))
+    assert state_visits(graphs) == 503_385
+
+
 def test_state_visits_on_mis_suspensions():
     assert state_visits(mis_suspensions()) == 648_604
 
@@ -410,23 +427,24 @@ def test_long_path_and_cycle_coefficients():
     assert independence_polynomial(cycle_graph(1500)).coeffs == cycle_coefficients(1500)
 
 
+def spy_kernels(monkeypatch) -> list[str]:
+    """The names of the frontier kernels the engine calls, in call order."""
+    kernels = []
+    for name in ("_frontier_polynomial", "_packed_frontier_polynomial"):
+
+        def counted(*args, name=name, kernel=getattr(indpoly, name)):
+            kernels.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(indpoly, name, counted)
+    return kernels
+
+
 @pytest.mark.parametrize("above", [0, 1])
 def test_packed_slots_hold_the_largest_counts(above, monkeypatch):
     # the edgeless graph has the largest coefficients of any k-vertex graph
     k = indpoly.PACK_MAX_N + above
-    kernels = []
-
-    def spy(name):
-        kernel = getattr(indpoly, name)
-
-        def counted(steps):
-            kernels.append(name)
-            return kernel(steps)
-
-        monkeypatch.setattr(indpoly, name, counted)
-
-    spy("_frontier_polynomial")
-    spy("_packed_frontier_polynomial")
+    kernels = spy_kernels(monkeypatch)
     assert independence_polynomial(Graph(k)) == IntPolynomial.binomial(k)
     assert independence_polynomial(path_graph(k)).coeffs == path_coefficients(k)
     assert independence_polynomial(cycle_graph(k)).coeffs == cycle_coefficients(k)
@@ -435,7 +453,50 @@ def test_packed_slots_hold_the_largest_counts(above, monkeypatch):
 
 
 def test_packed_kernel_on_no_steps_is_one():
-    assert indpoly._packed_frontier_polynomial([]) == ONE
+    # an empty mask has no step to take, in any order
+    for kernel in (indpoly._packed_frontier_polynomial, indpoly._frontier_polynomial):
+        assert kernel((), 0, indpoly.LABEL_ORDER) == ONE
+
+
+def complete_graph(n):
+    return Graph(n, combinations(range(1, n + 1), 2))
+
+
+# the largest graph that skips the order search and the pivot stack, and
+# the smallest that takes them
+@pytest.mark.parametrize("n", [11, 12])
+@pytest.mark.parametrize(
+    "build",
+    [Graph, path_graph, complete_graph, lambda n: relabelled(path_graph(n), shuffled(n, n))],
+    ids=["edgeless", "path", "complete", "relabelled-path"],
+)
+def test_graphs_at_the_label_order_threshold_match_bruteforce(n, build):
+    assert_every_side(build(n))
+
+
+def test_only_a_larger_root_is_searched(monkeypatch):
+    # a root of FRONTIER_WIDTH + 1 vertices goes straight to the kernel that
+    # PACK_MAX_N picks at call time, with no order search
+    kernels = spy_kernels(monkeypatch)
+    searched = []
+    thin_order = indpoly._thin_order
+
+    def search(adj, mask):
+        searched.append(mask.bit_count())
+        return thin_order(adj, mask)
+
+    monkeypatch.setattr(indpoly, "_thin_order", search)
+    k = indpoly.FRONTIER_WIDTH + 1
+    g = path_graph(k)
+    want = independence_polynomial_bruteforce(g)
+    assert independence_polynomial(g) == want
+    monkeypatch.setattr(indpoly, "PACK_MAX_N", 0)
+    assert independence_polynomial(g) == want
+    assert kernels == ["_packed_frontier_polynomial", "_frontier_polynomial"]
+    assert searched == []
+    # one vertex more and the root is searched, and keeps label order
+    assert independence_polynomial(path_graph(k + 1)).coeffs == path_coefficients(k + 1)
+    assert searched == [k + 1]
 
 
 # -- structural invariants ---------------------------------------------------------
