@@ -26,7 +26,7 @@ and n <= ``graphio.MAX_VERTICES`` = 20 000 a coefficient of P is at most
 binom(20000, 32) < 2^340 and one of h is below 2^380, so an entry holds
 n and at most 2 x 33 integers of at most 80 bytes each: under 6 KB, and
 about 3 MB for a full memo.  Callers share the frozen report and never
-mutate it.  The engine itself is never memoized.
+mutate it.  No engine result outlives its call.
 """
 
 from __future__ import annotations

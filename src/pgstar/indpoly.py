@@ -17,13 +17,21 @@ two sides:
   over all orders is the pathwidth (Kinnersley, 1992).  Three rules pick
   the order, the first that applies:
 
-  1. A subgraph of k <= FRONTIER_WIDTH + 1 vertices takes its vertices in
-     ascending label order with no search: after the first step at most
-     k - 1 <= FRONTIER_WIDTH vertices are unprocessed, and the frontier
-     lies among them, so every such subgraph reaches this side with at
-     most 2^(k-1) states per step.  No search could change that side: no
-     order of k vertices has a frontier of more than k - 1.  A whole
-     graph this small goes straight to the loop, with no pivot stack and
+  1. A subgraph of k <= FRONTIER_WIDTH + 1 vertices takes label order
+     with no search, and ``_small_polynomial`` counts it top-down with no
+     state table: P(S) = P(S - v) + x * P(S - N[v]) at the lowest vertex
+     v of S, or (1 + x) * P(S - v) if v has no neighbour in S, each mask
+     solved once per call through a memo that the call drops.  A memo
+     entry is what is left of S once a prefix of label order is processed
+     and the later neighbours of the vertices taken are removed, which is
+     a state of the label-order loop; so the memo holds no more entries
+     than that loop visits states, at most 2^(k-1) per step (after the
+     first step at most k - 1 vertices are unprocessed), and each entry
+     costs one call.  Each call drops the lowest vertex, so the recursion
+     is at most k deep.  Counts are packed at x = 2^8 when k <= 10, since
+     C(10, 5) = 252 < 256, and unpacked by one ``int.to_bytes``; a larger
+     k takes slots of ceil(k / 8) bytes, since a count is below 2^k.  A
+     whole graph this small goes straight to it, with no pivot stack and
      no cache.
   2. A larger subgraph is walked in label order, and keeps it if the
      frontier never holds more than min(delta + 1, FRONTIER_WIDTH)
@@ -80,15 +88,15 @@ BRUTE_FORCE_LIMIT = 26
 
 # Largest frontier the frontier side accepts: its loop holds up to
 # 2^FRONTIER_WIDTH states.  It also decides where the order search starts:
-# a subgraph of at most FRONTIER_WIDTH + 1 vertices always fits and takes
-# label order, and it caps the bound of the label-order walk on larger
-# ones (see _thin_order).  On G(80, 0.1) (2 cores, CPython 3.11) widths 8
+# a subgraph of at most FRONTIER_WIDTH + 1 vertices always fits and goes
+# to _small_polynomial, and it caps the bound of the label-order walk on
+# larger ones (see _thin_order).  On G(80, 0.1) (2 cores, CPython 3.11) widths 8
 # to 12 took 2.1-2.2 s, 6 and 14 2.7 s, 4 and 18 about 4 s.  Seed 2 takes
 # 1.24 s with the label-order branch and 1.20 s without it (medians of 12
 # alternating runs, quartiles 0.88-1.34 and 1.03-1.26 s): its frontier
-# subgraphs have 32 to 53 vertices bar 19 of at most 3, so the branch
-# leaves its 1 404 083 state visits as they are, and so does the
-# label-order walk, which gives up on every larger one.
+# subgraphs have 32 to 53 vertices, so the branch leaves its 1 404 056
+# state visits as they are, and so does the label-order walk, which gives
+# up on every one of them.
 FRONTIER_WIDTH = 10
 
 # Largest frontier subgraph whose states are packed into one int each
@@ -110,17 +118,12 @@ def _thin_order(adj: Sequence[int], mask: int) -> Sequence[int] | None:
     than FRONTIER_WIDTH vertices, or None if the order search finds none.
 
     Label order comes back as ``LABEL_ORDER``; only the greedy order is
-    built as a list of vertices.  A mask of k <= FRONTIER_WIDTH + 1
-    vertices takes label order: after its first step at most k - 1
-    vertices are unprocessed, so the frontier fits the width and the loop
-    holds at most 2^(k-1) states.  A larger mask keeps label order if its
+    built as a list of vertices.  The mask is kept in label order if its
     frontier stays within min(least degree + 1, FRONTIER_WIDTH), which no
     order beats by more than one vertex, and gets the greedy order
     otherwise (rules 2 and 3 of the module docstring).
     """
     width = FRONTIER_WIDTH
-    if mask.bit_count() <= width + 1:
-        return LABEL_ORDER
     # label order, kept if its largest frontier is at most the least degree
     # + 1; the least degree seen only falls, so a walk whose frontier has
     # passed it + 1 has passed the final bound too.  The loop stays inline,
@@ -310,19 +313,63 @@ def _frontier_count(adj: Sequence[int], mask: int, order: Sequence[int]) -> IntP
     return _frontier_polynomial(adj, mask, order)
 
 
+def _lowest_pivot(adj: Sequence[int], mask: int, memo: dict, width: int) -> int:
+    """P(mask) at x = 2^width, for a nonempty mask, by the pivot at its
+    lowest vertex; ``memo`` holds the masks below it solved so far."""
+    bit = mask & -mask
+    rest = mask ^ bit
+    if not rest:
+        return 1 + (1 << width)
+    # the memo is read at each call site, so a hit costs no call
+    if rest in memo:
+        without = memo[rest]
+    else:
+        without = memo[rest] = _lowest_pivot(adj, rest, memo, width)
+    around = adj[bit.bit_length() - 1] & rest
+    if not around:
+        return without + (without << width)
+    far = rest ^ around
+    if not far:
+        return without + (1 << width)
+    if far in memo:
+        within = memo[far]
+    else:
+        within = memo[far] = _lowest_pivot(adj, far, memo, width)
+    return without + (within << width)
+
+
+def _small_polynomial(adj: Sequence[int], mask: int) -> IntPolynomial:
+    """P(mask) by ``_lowest_pivot`` for a mask of k <= FRONTIER_WIDTH + 1
+    vertices, in slots of one byte up to k = 10 and of ceil(k / 8) bytes
+    above (rule 1 of the module docstring)."""
+    if not mask:
+        return ONE
+    k = mask.bit_count()
+    size = 1 if k <= 10 else (k + 7) // 8
+    bits = 8 * size
+    packed = _lowest_pivot(adj, mask, {}, bits)
+    data = packed.to_bytes((packed.bit_length() + bits - 1) // bits * size, "little")
+    if size == 1:
+        return IntPolynomial(data)
+    return IntPolynomial(
+        int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)
+    )
+
+
 def independence_polynomial(g: Graph) -> IntPolynomial:
     """Coefficient of x^i counts the independent sets of size i.
 
-    A graph of at most FRONTIER_WIDTH + 1 vertices goes straight to the
-    frontier side in label order (rule 1 of the module docstring).  In a
-    larger one each subgraph goes to the frontier side when ``_thin_order``
-    finds it an order within ``FRONTIER_WIDTH`` and is split and pivoted
-    otherwise.  No state survives between calls.
+    A subgraph of at most FRONTIER_WIDTH + 1 vertices, the whole graph
+    included, goes to ``_small_polynomial`` (rule 1 of the module
+    docstring).  A larger one goes to the frontier side when
+    ``_thin_order`` finds it an order within ``FRONTIER_WIDTH`` and is
+    split and pivoted otherwise.  No state survives between calls.
     """
     adj = g._adj
+    small = FRONTIER_WIDTH + 1
     root = (1 << g.n) - 1
-    if g.n <= FRONTIER_WIDTH + 1:
-        return _frontier_count(adj, root, LABEL_ORDER)
+    if g.n <= small:
+        return _small_polynomial(adj, root)
     cache: dict[int, IntPolynomial] = {0: ONE}
     # a frame is (mask, None) before it is split, and (mask, pieces,
     # pivoted) once its pieces are pushed above it
@@ -339,6 +386,9 @@ def independence_polynomial(g: Graph) -> IntPolynomial:
             cache[mask] = result
             continue
         if mask in cache:
+            continue
+        if mask.bit_count() <= small:
+            cache[mask] = _small_polynomial(adj, mask)
             continue
         order = _thin_order(adj, mask)
         if order is not None:

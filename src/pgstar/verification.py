@@ -132,6 +132,15 @@ def _work(fn: Callable, items: list, chunk: int, tickets, out) -> None:
         os._exit(code)
 
 
+class _Stopped(BaseException):
+    """SIGTERM or SIGHUP, raised in a sweep's parent while it has workers;
+    its one argument is the signal number."""
+
+
+def _stop(signum: int, frame) -> None:
+    raise _Stopped(signum)
+
+
 def _pmap(fn: Callable, items: Iterable, jobs: int) -> list:
     """``fn`` over ``items``, results in item order.
 
@@ -142,7 +151,9 @@ def _pmap(fn: Callable, items: Iterable, jobs: int) -> list:
     so the tickets go largest first: the costliest chunks start first
     instead of running alone at the end.  The lowest-index failing item
     raises its exception, as with one worker; a worker that dies, or a
-    fork or pipe that fails, raises ``RuntimeError``.
+    fork or pipe that fails, raises ``RuntimeError``.  While the workers
+    run, a SIGTERM or SIGHUP that would end the parent first kills and
+    reaps them, then ends the parent as it would have.
     """
     workers = 1
     if jobs > 1 and hasattr(os, "fork"):
@@ -152,12 +163,22 @@ def _pmap(fn: Callable, items: Iterable, jobs: int) -> list:
         return [fn(item) for item in items]
     import pickle
     import signal
+    import threading
 
     chunk = max(1, len(items) // (workers * 4))
     starts = range(0, len(items), chunk)
     ends: list = []  # every pipe end the parent opened
     children: dict = {}  # pid -> the read end of its results, until reaped
     done = {}
+    # a signal whose default action ends the parent raises _Stopped instead,
+    # so the workers, which nothing else would stop, are killed below; a
+    # worker that gets one leaves through os._exit like any other failure
+    trapped = []
+    if threading.current_thread() is threading.main_thread():
+        for signum in (signal.SIGTERM, signal.SIGHUP):
+            if signal.getsignal(signum) is signal.SIG_DFL:
+                signal.signal(signum, _stop)
+                trapped.append(signum)
     try:
         try:
             tickets, feed = _pipe(ends)
@@ -181,14 +202,20 @@ def _pmap(fn: Callable, items: Iterable, jobs: int) -> list:
             if status:
                 raise RuntimeError(f"a sweep worker ended with status {status} and no results")
             done.update(pickle.loads(payload))
-    except BaseException:
+    except BaseException as exc:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if isinstance(exc, _Stopped):
+            for signum in trapped:
+                signal.signal(signum, signal.SIG_DFL)
+            signal.raise_signal(exc.args[0])
         raise
     finally:
         for end in ends:
             end.close()
+        for signum in trapped:
+            signal.signal(signum, signal.SIG_DFL)
     results = []
     for start in starts:
         if isinstance(done[start], Exception):

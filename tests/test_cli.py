@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -822,6 +823,51 @@ def test_closed_stdout_exits_0_quietly(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert err == b""
+
+
+def children_of(pid: int) -> set[int]:
+    """The live processes whose parent is ``pid``, read from /proc."""
+    found = set()
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                # the command name in parentheses may hold spaces
+                state, ppid = f.read().rsplit(")", 1)[1].split()[:2]
+        except (OSError, ValueError):
+            continue
+        if int(ppid) == pid and state != "Z":
+            found.add(int(entry))
+    return found
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc")), reason="no fork or /proc")
+def test_sigterm_to_the_parent_alone_leaves_no_sweep_worker():
+    # a supervisor that kills one PID signals the parent only; one chunk
+    # of P_1..P_1200 runs for seconds, so only the parent can stop them
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pgstar", "verify", "paths", "--max-n", "1200", "--jobs", "2"],
+        stdout=subprocess.DEVNULL,
+        env=CHILD_ENV,
+    )
+    workers: set[int] = set()
+    try:
+        deadline = time.monotonic() + 30
+        while len(workers) < 2 and time.monotonic() < deadline and proc.poll() is None:
+            workers |= children_of(proc.pid)
+            time.sleep(0.02)
+        assert len(workers) == 2
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == -signal.SIGTERM
+        deadline = time.monotonic() + 1
+        while any(os.path.exists(f"/proc/{pid}") for pid in workers):
+            assert time.monotonic() < deadline, "a sweep worker outlived its parent"
+            time.sleep(0.02)
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
 
 
 # -- fuzzing ------------------------------------------------------------------

@@ -172,12 +172,16 @@ def assert_every_side(g):
     each subgraph takes."""
     want = independence_polynomial_bruteforce(g)
     assert independence_polynomial(g) == want
-    # -1 sends every subgraph to the pivot side, n every one to the frontier
-    # side in label order, 3 sends every subgraph of 5 or more vertices
-    # through the label-order walk and on to the greedy order once that
-    # walk's frontier passes its least degree + 1 or 3; a pack threshold of
-    # 0 keeps every frontier state a coefficient list, n packs every one
-    # into an int
+    # the settings of (width, pack) and the kernels they reach:
+    # - (-1, any) sends every subgraph to the pivot side;
+    # - (g.n, any) sends the whole graph to _small_polynomial, in slots of
+    #   more than one byte when g.n > 10;
+    # - (3, g.n) and (3, 0) send subgraphs of at most 4 vertices to
+    #   _small_polynomial and larger ones through the label-order walk,
+    #   on to the greedy order once that walk's frontier passes its least
+    #   degree + 1 or 3, and then to the packed loop or the list loop
+    #   respectively, or to the pivot side if the greedy order fails;
+    # - (FRONTIER_WIDTH, any) is the default split.
     for width in (indpoly.FRONTIER_WIDTH, -1, 3, g.n):
         for pack in (0, g.n):
             with pytest.MonkeyPatch.context() as patch:
@@ -271,9 +275,11 @@ def test_small_masks_take_label_order_and_larger_ones_the_greedy_order():
     perm = shuffled(k, 3)
     adj = relabelled(path_graph(k), perm)._adj
     full = (1 << k) - 1
-    # FRONTIER_WIDTH + 1 vertices: label order, with no search
+    # FRONTIER_WIDTH + 1 vertices: the lowest-vertex pivot counts it in
+    # label order, though that order's frontier passes least degree + 1
     small = full & ~(1 << (perm[0] - 1))
-    assert indpoly._thin_order(adj, small) is indpoly.LABEL_ORDER
+    assert max(frontier_sizes(label_order(adj, small))) > 2
+    assert indpoly._small_polynomial(adj, small).coeffs == path_coefficients(k - 1)
     # one more vertex: label order holds more than least degree + 1 = 2
     # vertices on its frontier, so the greedy order walks the path
     assert max(frontier_sizes(label_order(adj, full))) > 2
@@ -332,19 +338,23 @@ def cones(ns):
 
 def test_mis_suspensions_and_cones_take_label_order():
     # their frontier in label order stays within least degree + 1: the apex
-    # and at most two chain vertices
+    # and at most two chain vertices; the order search never sees one of
+    # at most FRONTIER_WIDTH + 1 vertices, which takes label order anyway
     above = 0
     for g in chain(mis_suspensions(), cones(range(12, 25))):
-        full = (1 << g.n) - 1
-        assert indpoly._thin_order(g._adj, full) is indpoly.LABEL_ORDER
-        above += g.n > indpoly.FRONTIER_WIDTH + 1
+        if g.n > indpoly.FRONTIER_WIDTH + 1:
+            full = (1 << g.n) - 1
+            assert indpoly._thin_order(g._adj, full) is indpoly.LABEL_ORDER
+            above += 1
     assert above > 6000
 
 
-def state_visits(graphs) -> int:
+def engine_work(graphs) -> tuple[int, int]:
     """The frontier states the engine visits on ``graphs``, one per state
-    per step: each kernel's order replayed over sets of blocked vertices."""
-    visits = 0
+    per step, each kernel's order replayed over sets of blocked vertices;
+    and the masks the memos of ``_small_polynomial`` hold at the end of
+    each call."""
+    visits = entries = 0
 
     def counted(kernel):
         def replay(adj, mask, order):
@@ -365,12 +375,26 @@ def state_visits(graphs) -> int:
 
         return replay
 
+    lowest_pivot = indpoly._lowest_pivot
+    # the memo of the call under way, kept alive so no later memo shares its id
+    current = None
+
+    def counted_pivot(adj, mask, memo, width):
+        nonlocal entries, current
+        if memo is current:
+            return lowest_pivot(adj, mask, memo, width)
+        current = memo
+        packed = lowest_pivot(adj, mask, memo, width)
+        entries += len(memo)
+        return packed
+
     with pytest.MonkeyPatch.context() as patch:
         for name in ("_frontier_polynomial", "_packed_frontier_polynomial"):
             patch.setattr(indpoly, name, counted(getattr(indpoly, name)))
+        patch.setattr(indpoly, "_lowest_pivot", counted_pivot)
         for g in graphs:
             independence_polynomial(g)
-    return visits
+    return visits, entries
 
 
 def gnp(n, p, seed):
@@ -379,25 +403,28 @@ def gnp(n, p, seed):
 
 
 # exact work on the benchmark's inputs, so an order that costs more states
-# fails here before it shows in a timing
-def test_state_visits_on_tiny_exhaustive():
-    # the graphs of ``verify deg-via-ord`` at its defaults
+# fails here before it shows in a timing; the memo entries of
+# _small_polynomial are states of the label-order loop too
+def test_memo_entries_on_tiny_exhaustive():
+    # the graphs of ``verify deg-via-ord`` at its defaults, none above 10
+    # vertices, so no frontier loop runs
     graphs = (g for _, g in _mixed_corpus(500, 10, 1729, 6))
-    assert state_visits(graphs) == 503_385
+    assert engine_work(graphs) == (0, 274_382)
 
 
 def test_state_visits_on_mis_suspensions():
-    assert state_visits(mis_suspensions()) == 648_604
+    # suspensions of at most 11 vertices go to _small_polynomial
+    assert engine_work(mis_suspensions()) == (645_128, 1_882)
 
 
 def test_state_visits_on_long_chains():
-    assert state_visits([path_graph(900), cycle_graph(600)]) == 4_191
+    assert engine_work([path_graph(900), cycle_graph(600)]) == (4_191, 0)
 
 
 def test_state_visits_on_a_wide_random_graph():
-    # the label-order walk gives up early on every mask, so the greedy
-    # order and the pivots do the same work as without it
-    assert state_visits([gnp(80, 0.1, 2)]) == 1_404_083
+    # the label-order walk gives up early on every mask above 11 vertices,
+    # so the greedy order and the pivots do the same work as without it
+    assert engine_work([gnp(80, 0.1, 2)]) == (1_404_056, 5)
 
 
 def test_deep_pivots_and_long_caterpillars_finish():
@@ -428,9 +455,9 @@ def test_long_path_and_cycle_coefficients():
 
 
 def spy_kernels(monkeypatch) -> list[str]:
-    """The names of the frontier kernels the engine calls, in call order."""
+    """The names of the kernels the engine calls, in call order."""
     kernels = []
-    for name in ("_frontier_polynomial", "_packed_frontier_polynomial"):
+    for name in ("_frontier_polynomial", "_packed_frontier_polynomial", "_small_polynomial"):
 
         def counted(*args, name=name, kernel=getattr(indpoly, name)):
             kernels.append(name)
@@ -475,8 +502,8 @@ def test_graphs_at_the_label_order_threshold_match_bruteforce(n, build):
 
 
 def test_only_a_larger_root_is_searched(monkeypatch):
-    # a root of FRONTIER_WIDTH + 1 vertices goes straight to the kernel that
-    # PACK_MAX_N picks at call time, with no order search
+    # a root of FRONTIER_WIDTH + 1 vertices goes straight to the lowest-
+    # vertex pivot, with no order search and no frontier loop
     kernels = spy_kernels(monkeypatch)
     searched = []
     thin_order = indpoly._thin_order
@@ -487,16 +514,53 @@ def test_only_a_larger_root_is_searched(monkeypatch):
 
     monkeypatch.setattr(indpoly, "_thin_order", search)
     k = indpoly.FRONTIER_WIDTH + 1
-    g = path_graph(k)
-    want = independence_polynomial_bruteforce(g)
-    assert independence_polynomial(g) == want
-    monkeypatch.setattr(indpoly, "PACK_MAX_N", 0)
-    assert independence_polynomial(g) == want
-    assert kernels == ["_packed_frontier_polynomial", "_frontier_polynomial"]
+    assert independence_polynomial(path_graph(k)).coeffs == path_coefficients(k)
+    assert kernels == ["_small_polynomial"]
     assert searched == []
-    # one vertex more and the root is searched, and keeps label order
+    # one vertex more and the root is searched, and keeps label order in
+    # the packed loop
     assert independence_polynomial(path_graph(k + 1)).coeffs == path_coefficients(k + 1)
+    assert kernels == ["_small_polynomial", "_packed_frontier_polynomial"]
     assert searched == [k + 1]
+    # a root the search refuses is pivoted, and its piece of k vertices
+    # goes to the lowest-vertex pivot unsearched
+    assert independence_polynomial(complete_graph(k + 1)).coeffs == (1, k + 1)
+    assert kernels[2:] == ["_small_polynomial"]
+    assert searched == [k + 1, k + 1]
+
+
+def induced(g, keep):
+    """The subgraph of g on the vertex mask ``keep``, relabelled 1, 2, ...
+    in label order."""
+    label = {v: i for i, v in enumerate((v for v in g.vertices if keep >> (v - 1) & 1), 1)}
+    edges = [(label[u], label[v]) for u, v in g.edges() if u in label and v in label]
+    return Graph(len(label), edges)
+
+
+# the only exact check of graphs above BRUTE_FORCE_LIMIT that reach the pivot
+# side: width 3 pivots them into pieces small enough for _small_polynomial
+@pytest.mark.parametrize("seed", range(6))
+def test_engine_identities_above_the_bruteforce_limit(seed, monkeypatch):
+    rng = random.Random(seed)
+    g = gnp(rng.randint(27, 45), rng.choice([0.05, 0.1, 0.15]), seed)
+    full = (1 << g.n) - 1
+    kernels = spy_kernels(monkeypatch)
+    for width, pack in ((indpoly.FRONTIER_WIDTH, indpoly.PACK_MAX_N), (3, g.n), (3, 0)):
+        monkeypatch.setattr(indpoly, "FRONTIER_WIDTH", width)
+        monkeypatch.setattr(indpoly, "PACK_MAX_N", pack)
+        p = independence_polynomial(g)
+        # P'(G) = sum over v of P(G - N[v]): a set of size i counts once
+        # for each of its i members
+        derivative = IntPolynomial()
+        for v, around in enumerate(g._adj):
+            far = independence_polynomial(induced(g, full & ~(1 << v) & ~around))
+            # P(G) = P(G - v) + x P(G - N[v]) at every v, not only the pivot
+            near = independence_polynomial(induced(g, full & ~(1 << v)))
+            assert p == near + far.shift(1), (width, pack, v)
+            derivative = derivative + far
+        assert derivative.coeffs == tuple(i * c for i, c in enumerate(p.coeffs))[1:]
+    every_kernel = {"_small_polynomial", "_packed_frontier_polynomial", "_frontier_polynomial"}
+    assert set(kernels) == every_kernel
 
 
 # -- structural invariants ---------------------------------------------------------
