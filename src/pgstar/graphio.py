@@ -34,7 +34,7 @@ class ParseError(ValueError):
         super().__init__(prefix + message)
 
 
-def _data_lines(text: str | Iterable[str]):
+def _numbered_lines(text: str | Iterable[str]):
     # a str is one chunk and an open file one chunk per line read; each chunk
     # is split as str.splitlines() splits, which also breaks lines at \x0c,
     # \x85 and the like, where reading a file line by line does not.  A file
@@ -52,10 +52,14 @@ def _data_lines(text: str | Iterable[str]):
                 except UnicodeEncodeError as exc:
                     byte = ord(raw[exc.start]) & 0xFF
                     raise ParseError(f"undecodable byte 0x{byte:02x}", number) from None
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield number, stripped
+            yield number, raw.strip()
+
+
+def _data_lines(text: str | Iterable[str]):
+    """The stripped edge-list lines that are neither blank nor comments."""
+    for number, line in _numbered_lines(text):
+        if line and not line.startswith("#"):
+            yield number, line
 
 
 def parse_edge_list(text: str | Iterable[str]) -> Graph:
@@ -119,34 +123,38 @@ def serialize_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph6(text: str) -> Graph:
-    data = text.strip()
+def parse_graph6(text: str | Iterable[str]) -> Graph:
+    """One graph6 line, blank lines around it ignored; errors name the
+    line as the text numbers it."""
+    lines = ((number, line) for number, line in _numbered_lines(text) if line)
+    line_no, data = next(lines, (1, ""))
+    extra = next(lines, None)
+    if extra is not None:
+        raise ParseError("graph6 input must be a single line", extra[0])
     if data.startswith(GRAPH6_HEADER):
         data = data[len(GRAPH6_HEADER):]
     if not data:
-        raise ParseError("empty graph6 input", 1)
-    if "\n" in data:
-        raise ParseError("graph6 input must be a single line", 2)
+        raise ParseError("empty graph6 input", line_no)
     first = ord(data[0])
     if first == 126:
         raise ParseError(
-            f"multi-byte graph6 size fields are not supported (n > {GRAPH6_MAX_N})", 1
+            f"multi-byte graph6 size fields are not supported (n > {GRAPH6_MAX_N})", line_no
         )
     if not 63 <= first <= 125:
-        raise ParseError(f"invalid graph6 size byte {data[0]!r}", 1)
+        raise ParseError(f"invalid graph6 size byte {data[0]!r}", line_no)
     n = first - 63
     body = data[1:]
     needed_bits = n * (n - 1) // 2
     needed_bytes = (needed_bits + 5) // 6
     if len(body) != needed_bytes:
         raise ParseError(
-            f"graph6 body for n = {n} needs {needed_bytes} bytes, got {len(body)}", 1
+            f"graph6 body for n = {n} needs {needed_bytes} bytes, got {len(body)}", line_no
         )
     bits = []
     for ch in body:
         val = ord(ch) - 63
         if not 0 <= val <= 63:
-            raise ParseError(f"invalid graph6 byte {ch!r}", 1)
+            raise ParseError(f"invalid graph6 byte {ch!r}", line_no)
         bits.extend((val >> k) & 1 for k in range(5, -1, -1))
     edges = []
     idx = 0
@@ -162,16 +170,15 @@ def parse_graph6(text: str) -> Graph:
 def load_graph(path: str | Path, fmt: str = "auto") -> Graph:
     """Read a graph file; ``auto`` picks graph6 for .g6/.graph6 suffixes.
 
-    An edge list is parsed from the open file line by line, so a refused
-    header ends the read at its own line, and an undecodable byte is
-    reported at its line.
+    Either format is parsed from the open file line by line, so a refused
+    edge-list header ends the read at its own line, and an undecodable
+    byte is reported at its line.
     """
     path = Path(path)
     if fmt == "auto":
         fmt = "graph6" if path.suffix in (".g6", ".graph6") else "edge-list"
-    if fmt == "graph6":
-        return parse_graph6(path.read_text())
-    if fmt != "edge-list":
+    parse = {"graph6": parse_graph6, "edge-list": parse_edge_list}.get(fmt)
+    if parse is None:
         raise ValueError(f"unknown format {fmt!r}")
     with path.open(errors="surrogateescape") as lines:
-        return parse_edge_list(lines)
+        return parse(lines)

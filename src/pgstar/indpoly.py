@@ -33,17 +33,20 @@ two sides:
      k takes slots of ceil(k / 8) bytes, since a count is below 2^k.  A
      whole graph this small goes straight to it, with no pivot stack and
      no cache.
-  2. A larger subgraph is walked in label order, and keeps it if the
-     frontier never holds more than min(delta + 1, FRONTIER_WIDTH)
+  2. A larger subgraph is counted in label order, and keeps that count
+     if the frontier never holds more than min(delta + 1, FRONTIER_WIDTH)
      vertices, delta the least degree in the subgraph.  No order can do
      much better: every order's first vertex puts all of its neighbours
      on the frontier, so no order keeps the frontier below delta
      (pathwidth >= treewidth >= delta), and the kept order's bound of
      2^(delta+1) states per step is at most twice the best any order can
-     have.  The walk tracks the least degree d of the vertices it has
-     taken and stops once the frontier has held more than
-     min(d + 1, FRONTIER_WIDTH) vertices.  Stopping early is safe: d
-     never drops below delta, so the whole walk would fail too.  Paths
+     have.  The order tracks the least degree d of the vertices it has
+     reached and ends, before the vertex at which it happens, once the
+     frontier has held more than min(d + 1, FRONTIER_WIDTH) vertices; the
+     count it feeds then runs out before the last vertex and is dropped.
+     Ending early is safe: d never drops below delta, so the whole order
+     would fail too.  The last vertex's degree is checked before the
+     count reaches it, so a count that finishes kept the bound.  Paths
      and cycles, their suspensions over a maximal independent set and
      their cones keep label order this way.
   3. Otherwise the subgraph gets a greedy order: it starts at a
@@ -52,12 +55,14 @@ two sides:
      unprocessed neighbours; when the frontier empties it restarts at a
      minimum-degree unprocessed vertex.
 
-  The walk and the greedy order stop as soon as the frontier outgrows
-  their bound, so a wide subgraph costs little more than its first
-  steps.  Only the greedy order is built as a list: the loop reads label
-  order off the mask itself, each step taking the lowest vertex left,
-  whose later neighbours are its neighbours among the vertices left.  A
-  vertex with no later neighbour updates each state once, since joining
+  Both orders end as soon as the frontier outgrows their bound, so a
+  wide subgraph costs little more than its first steps.  Label order is
+  walked once, by the count it feeds: each step takes the lowest vertex
+  left, whose later neighbours are its neighbours among the vertices
+  left.  The greedy order is built as a whole list before any count,
+  since it fails on about half of the subgraphs that reach it (713 of
+  1 340 on G(80, 0.1)), each of which would waste a count.  A vertex
+  with no later neighbour updates each state once, since joining
   it blocks nothing new, and the last vertex, which leaves at most the
   states {} and {v}, is summed into the result without a new state
   table.  On a subgraph of k <= ``PACK_MAX_N`` vertices a state is one
@@ -79,7 +84,7 @@ two sides:
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import EnumerationLimitError, Graph, _bits, mask_components
 from .polynomials import ONE, IntPolynomial
@@ -89,14 +94,12 @@ BRUTE_FORCE_LIMIT = 26
 # Largest frontier the frontier side accepts: its loop holds up to
 # 2^FRONTIER_WIDTH states.  It also decides where the order search starts:
 # a subgraph of at most FRONTIER_WIDTH + 1 vertices always fits and goes
-# to _small_polynomial, and it caps the bound of the label-order walk on
-# larger ones (see _thin_order).  On G(80, 0.1) (2 cores, CPython 3.11) widths 8
-# to 12 took 2.1-2.2 s, 6 and 14 2.7 s, 4 and 18 about 4 s.  Seed 2 takes
-# 1.24 s with the label-order branch and 1.20 s without it (medians of 12
-# alternating runs, quartiles 0.88-1.34 and 1.03-1.26 s): its frontier
-# subgraphs have 32 to 53 vertices, so the branch leaves its 1 404 056
-# state visits as they are, and so does the label-order walk, which gives
-# up on every one of them.
+# to _small_polynomial, and it caps label order's bound on larger ones
+# (see _label_order).  On G(80, 0.1) (2 cores, CPython 3.11) widths 8
+# to 12 took 2.1-2.2 s, 6 and 14 2.7 s, 4 and 18 about 4 s.  Seed 2's
+# frontier subgraphs have 32 to 53 vertices, and label order is dropped
+# on every one of them after about one vertex: 2 019 of its 1 406 075
+# state visits.
 FRONTIER_WIDTH = 10
 
 # Largest frontier subgraph whose states are packed into one int each
@@ -108,33 +111,26 @@ FRONTIER_WIDTH = 10
 # 1024.  512 keeps a margin below that crossover.
 PACK_MAX_N = 512
 
-# The order ``_thin_order`` gives for ascending label order.  The kernels
-# walk it off the mask, lowest bit first, so no list of it is built.
-LABEL_ORDER: tuple[int, ...] = ()
 
+def _label_order(adj: Sequence[int], mask: int) -> Iterator[int]:
+    """The vertices of ``mask`` in ascending label order, ending before the
+    vertex at which the frontier has held more than min(least degree + 1,
+    FRONTIER_WIDTH) vertices (rule 2 of the module docstring).
 
-def _thin_order(adj: Sequence[int], mask: int) -> Sequence[int] | None:
-    """The vertices of ``mask`` in an order whose frontier never holds more
-    than FRONTIER_WIDTH vertices, or None if the order search finds none.
-
-    Label order comes back as ``LABEL_ORDER``; only the greedy order is
-    built as a list of vertices.  The mask is kept in label order if its
-    frontier stays within min(least degree + 1, FRONTIER_WIDTH), which no
-    order beats by more than one vertex, and gets the greedy order
-    otherwise (rules 2 and 3 of the module docstring).
+    The least degree seen only falls, so a walk whose frontier has passed
+    it + 1 has passed the final bound too.  The last vertex's degree is
+    checked before it is yielded, so a count that reaches it keeps the
+    order.  The loop stays inline, not ``_bits``: each step reads the rest
+    of the mask after its own bit.
     """
-    width = FRONTIER_WIDTH
-    # label order, kept if its largest frontier is at most the least degree
-    # + 1; the least degree seen only falls, so a walk whose frontier has
-    # passed it + 1 has passed the final bound too.  The loop stays inline,
-    # not ``_bits``: each step reads the rest of the mask after its own bit
-    least = width - 1
+    least = FRONTIER_WIDTH - 1
     frontier = peak = 0
     rest = mask
     while rest:
         bit = rest & -rest
         rest ^= bit
-        around = adj[bit.bit_length() - 1]
+        v = bit.bit_length() - 1
+        around = adj[v]
         degree = (around & mask).bit_count()
         if degree < least:
             least = degree
@@ -143,9 +139,16 @@ def _thin_order(adj: Sequence[int], mask: int) -> Sequence[int] | None:
         if size > peak:
             peak = size
         if peak > least + 1:
-            break
-    else:
-        return LABEL_ORDER
+            return
+        yield v
+
+
+def _greedy_order(adj: Sequence[int], mask: int) -> list[int] | None:
+    """The vertices of ``mask`` in the greedy order of rule 3 of the module
+    docstring, or None once its frontier holds more than FRONTIER_WIDTH
+    vertices.  Built in full before any count, since it fails on many
+    masks that reach it."""
+    width = FRONTIER_WIDTH
     order = []
     rest = mask
     frontier = 0
@@ -185,22 +188,19 @@ def _thin_order(adj: Sequence[int], mask: int) -> Sequence[int] | None:
     return order
 
 
-def _frontier_polynomial(adj: Sequence[int], mask: int, order: Sequence[int]) -> IntPolynomial:
+def _frontier_polynomial(
+    adj: Sequence[int], mask: int, order: Iterable[int]
+) -> IntPolynomial | None:
     """Count the independent sets of ``mask`` along ``order``: each state
     maps the blocked, unprocessed vertices to the counts by size of the
-    sets that block them."""
+    sets that block them.  None if ``order`` ends before the last vertex
+    of ``mask``."""
     if not mask:
         return ONE
     states = {0: [1]}
     rest = mask
-    greedy = iter(order)
-    while True:
-        if order is LABEL_ORDER:
-            bit = rest & -rest
-            v = bit.bit_length() - 1
-        else:
-            v = next(greedy)
-            bit = 1 << v
+    for v in order:
+        bit = 1 << v
         rest ^= bit
         if not rest:
             break
@@ -239,6 +239,8 @@ def _frontier_polynomial(adj: Sequence[int], mask: int, order: Sequence[int]) ->
                 for i, c in enumerate(counts):
                     old[i] += c
         states = new
+    else:
+        return None
     # the last vertex v: the states are the empty set and at most {v}, and
     # v joins every set that does not block it
     free = IntPolynomial(states[0])
@@ -246,8 +248,8 @@ def _frontier_polynomial(adj: Sequence[int], mask: int, order: Sequence[int]) ->
 
 
 def _packed_frontier_polynomial(
-    adj: Sequence[int], mask: int, order: Sequence[int]
-) -> IntPolynomial:
+    adj: Sequence[int], mask: int, order: Iterable[int]
+) -> IntPolynomial | None:
     """``_frontier_polynomial`` with each state's counts packed into one int.
 
     The count of sets of size i sits in bits [i*width, (i+1)*width), so a
@@ -261,14 +263,8 @@ def _packed_frontier_polynomial(
     width = mask.bit_count()
     states = {0: 1}
     rest = mask
-    greedy = iter(order)
-    while True:
-        if order is LABEL_ORDER:
-            bit = rest & -rest
-            v = bit.bit_length() - 1
-        else:
-            v = next(greedy)
-            bit = 1 << v
+    for v in order:
+        bit = 1 << v
         rest ^= bit
         if not rest:
             break
@@ -293,6 +289,8 @@ def _packed_frontier_polynomial(
             else:
                 new[blocked] = counts
         states = new
+    else:
+        return None
     # the last vertex v: the states are the empty set and at most {v}, and
     # v joins every set that does not block it
     packed = states[0] << width
@@ -306,8 +304,9 @@ def _packed_frontier_polynomial(
     return IntPolynomial(coeffs)
 
 
-def _frontier_count(adj: Sequence[int], mask: int, order: Sequence[int]) -> IntPolynomial:
-    """The frontier side on ``mask``: packed states up to PACK_MAX_N vertices."""
+def _frontier_count(adj: Sequence[int], mask: int, order: Iterable[int]) -> IntPolynomial | None:
+    """The frontier side on ``mask``: packed states up to PACK_MAX_N
+    vertices.  None if ``order`` ends before the last vertex."""
     if mask.bit_count() <= PACK_MAX_N:
         return _packed_frontier_polynomial(adj, mask, order)
     return _frontier_polynomial(adj, mask, order)
@@ -361,9 +360,9 @@ def independence_polynomial(g: Graph) -> IntPolynomial:
 
     A subgraph of at most FRONTIER_WIDTH + 1 vertices, the whole graph
     included, goes to ``_small_polynomial`` (rule 1 of the module
-    docstring).  A larger one goes to the frontier side when
-    ``_thin_order`` finds it an order within ``FRONTIER_WIDTH`` and is
-    split and pivoted otherwise.  No state survives between calls.
+    docstring).  A larger one is counted in label order, then along the
+    greedy order if that count is dropped, and is split and pivoted if
+    the greedy order fails too.  No state survives between calls.
     """
     adj = g._adj
     small = FRONTIER_WIDTH + 1
@@ -390,9 +389,11 @@ def independence_polynomial(g: Graph) -> IntPolynomial:
         if mask.bit_count() <= small:
             cache[mask] = _small_polynomial(adj, mask)
             continue
-        order = _thin_order(adj, mask)
-        if order is not None:
-            cache[mask] = _frontier_count(adj, mask, order)
+        result = _frontier_count(adj, mask, _label_order(adj, mask))
+        if result is None and (order := _greedy_order(adj, mask)) is not None:
+            result = _frontier_count(adj, mask, order)
+        if result is not None:
+            cache[mask] = result
             continue
         pieces = mask_components(adj, mask)
         pivoted = len(pieces) == 1

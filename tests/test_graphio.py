@@ -233,6 +233,21 @@ def test_graph6_errors():
         parse_graph6("Bw\nBw")
 
 
+def test_graph6_errors_name_the_line_as_the_text_numbers_it():
+    with pytest.raises(ParseError, match="^line 4: graph6 input must be a single line$"):
+        parse_graph6("A_\n\n\nA_\n")
+    with pytest.raises(ParseError, match="^line 3: invalid graph6 byte '!'$"):
+        parse_graph6("\n \nB!\n")
+    assert parse_graph6("\n\nBw\n\n") == cycle_graph(3)
+
+
+def test_a_graph6_file_reports_an_undecodable_byte_at_its_line(tmp_path):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"\nB\xff\n")
+    with pytest.raises(ParseError, match="^line 2: undecodable byte 0xff$"):
+        load_graph(path)
+
+
 def test_load_graph_auto_format(tmp_path):
     el = tmp_path / "c3.txt"
     el.write_text("3 3\n1 2\n2 3\n1 3\n")

@@ -1,6 +1,7 @@
 import random
 from itertools import chain, combinations
 from math import comb
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -177,10 +178,10 @@ def assert_every_side(g):
     # - (g.n, any) sends the whole graph to _small_polynomial, in slots of
     #   more than one byte when g.n > 10;
     # - (3, g.n) and (3, 0) send subgraphs of at most 4 vertices to
-    #   _small_polynomial and larger ones through the label-order walk,
-    #   on to the greedy order once that walk's frontier passes its least
-    #   degree + 1 or 3, and then to the packed loop or the list loop
-    #   respectively, or to the pivot side if the greedy order fails;
+    #   _small_polynomial and larger ones to the packed loop or the list
+    #   loop respectively, in label order, whose count is dropped once its
+    #   frontier passes its least degree + 1 or 3, then along the greedy
+    #   order, or to the pivot side if the greedy order fails;
     # - (FRONTIER_WIDTH, any) is the default split.
     for width in (indpoly.FRONTIER_WIDTH, -1, 3, g.n):
         for pack in (0, g.n):
@@ -232,10 +233,7 @@ def frontier_sizes(steps) -> list[int]:
 
 
 def steps_of(adj, mask, order):
-    """The (vertex bit, later neighbours) steps of ``order`` over ``mask``,
-    ``LABEL_ORDER`` being ascending label order."""
-    if order is indpoly.LABEL_ORDER:
-        order = [v for v in range(len(adj)) if mask >> v & 1]
+    """The (vertex bit, later neighbours) steps of ``order`` over ``mask``."""
     steps, rest = [], mask
     for v in order:
         rest ^= 1 << v
@@ -243,18 +241,33 @@ def steps_of(adj, mask, order):
     return steps
 
 
+def vertices_of(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
 def label_order(adj, mask):
-    """The steps of ``mask`` in ascending label order."""
-    return steps_of(adj, mask, indpoly.LABEL_ORDER)
+    """The steps of ``mask`` in ascending label order, all of them, past
+    where ``_label_order`` may end."""
+    return steps_of(adj, mask, vertices_of(mask))
+
+
+def keeps_label_order(adj, mask):
+    """Whether ``_label_order`` of ``mask`` reaches its last vertex; where
+    it ends, it has run in ascending label order."""
+    walked = list(indpoly._label_order(adj, mask))
+    assert walked == vertices_of(mask)[: len(walked)]
+    return len(walked) == mask.bit_count()
 
 
 def assert_greedy_order(adj, mask):
-    """``_thin_order`` of ``mask`` is a list that takes every vertex once,
-    not in ascending label order; returns its steps."""
-    order = indpoly._thin_order(adj, mask)
+    """``_label_order`` of ``mask`` ends early, and ``_greedy_order`` is a
+    list that takes every vertex once, not in ascending label order;
+    returns its steps."""
+    assert not keeps_label_order(adj, mask)
+    order = indpoly._greedy_order(adj, mask)
     assert isinstance(order, list)
     assert order != sorted(order)
-    assert sorted(order) == [v for v in range(len(adj)) if mask >> v & 1]
+    assert sorted(order) == vertices_of(mask)
     return steps_of(adj, mask, order)
 
 
@@ -298,17 +311,19 @@ def test_relabelled_ladders_take_the_greedy_order(rungs):
 
 def test_label_order_one_vertex_past_the_bound_is_refused():
     # a path run 3 1 5 2 4 6 7 ... 12: label order's frontier peaks at 3,
-    # one past least degree + 1
+    # one past least degree + 1, which the end 3 brings down to 2
     run = [3, 1, 5, 2, 4, 6, 7, 8, 9, 10, 11, 12]
     g = Graph(12, zip(run, run[1:]))
     full = (1 << 12) - 1
     assert max(frontier_sizes(label_order(g._adj, full))) == 3
+    assert list(indpoly._label_order(g._adj, full)) == [0, 1]
     assert_greedy_order(g._adj, full)
     # K_4 on 1..4, then a tail 4 5 ... 12: the frontier holds 3 at the
     # first step and at most 1 after it, but the leaf 12 comes last and
-    # brings the bound down to 2
+    # brings the bound down to 2, so label order ends before its last vertex
     g = Graph(12, [*combinations(range(1, 5), 2), *((v, v + 1) for v in range(4, 12))])
     assert max(frontier_sizes(label_order(g._adj, full))) == 3
+    assert list(indpoly._label_order(g._adj, full)) == list(range(11))
     assert_greedy_order(g._adj, full)
 
 
@@ -317,7 +332,9 @@ def test_the_width_caps_the_label_order_bound():
     # 11, and no other order does better
     k = indpoly.FRONTIER_WIDTH + 2
     g = Graph(k, combinations(range(1, k + 1), 2))
-    assert indpoly._thin_order(g._adj, (1 << k) - 1) is None
+    full = (1 << k) - 1
+    assert list(indpoly._label_order(g._adj, full)) == []
+    assert indpoly._greedy_order(g._adj, full) is None
 
 
 def mis_suspensions():
@@ -343,22 +360,44 @@ def test_mis_suspensions_and_cones_take_label_order():
     above = 0
     for g in chain(mis_suspensions(), cones(range(12, 25))):
         if g.n > indpoly.FRONTIER_WIDTH + 1:
-            full = (1 << g.n) - 1
-            assert indpoly._thin_order(g._adj, full) is indpoly.LABEL_ORDER
+            assert keeps_label_order(g._adj, (1 << g.n) - 1)
             above += 1
     assert above > 6000
 
 
-def engine_work(graphs) -> tuple[int, int]:
-    """The frontier states the engine visits on ``graphs``, one per state
-    per step, each kernel's order replayed over sets of blocked vertices;
-    and the masks the memos of ``_small_polynomial`` hold at the end of
-    each call."""
-    visits = entries = 0
+class Work(NamedTuple):
+    """The engine's work on a set of graphs."""
+
+    # frontier states visited, one per state per step, counts dropped
+    # before their last vertex included
+    visits: int
+    # masks the memos of _small_polynomial hold at the end of each call
+    entries: int
+    # label-order counts that reach their last vertex, and those dropped
+    kept: int
+    dropped: int
+    # counts along the greedy order
+    greedy: int
+
+
+def engine_work(graphs) -> Work:
+    """The engine's work on ``graphs``, each kernel's order replayed over
+    sets of blocked vertices."""
+    visits = entries = kept = dropped = greedy = 0
 
     def counted(kernel):
         def replay(adj, mask, order):
-            nonlocal visits
+            nonlocal visits, kept, dropped, greedy
+            if isinstance(order, list):
+                greedy += 1
+            else:
+                # label order is a generator: list it so the kernel reads
+                # the same vertices, and the same early end, as the replay
+                order = list(order)
+                if len(order) == mask.bit_count():
+                    kept += 1
+                else:
+                    dropped += 1
             steps = steps_of(adj, mask, order)
             states = {0}
             for bit, later in steps:
@@ -394,7 +433,7 @@ def engine_work(graphs) -> tuple[int, int]:
         patch.setattr(indpoly, "_lowest_pivot", counted_pivot)
         for g in graphs:
             independence_polynomial(g)
-    return visits, entries
+    return Work(visits, entries, kept, dropped, greedy)
 
 
 def gnp(n, p, seed):
@@ -409,22 +448,24 @@ def test_memo_entries_on_tiny_exhaustive():
     # the graphs of ``verify deg-via-ord`` at its defaults, none above 10
     # vertices, so no frontier loop runs
     graphs = (g for _, g in _mixed_corpus(500, 10, 1729, 6))
-    assert engine_work(graphs) == (0, 274_382)
+    assert engine_work(graphs) == Work(0, 274_382, 0, 0, 0)
 
 
 def test_state_visits_on_mis_suspensions():
-    # suspensions of at most 11 vertices go to _small_polynomial
-    assert engine_work(mis_suspensions()) == (645_128, 1_882)
+    # suspensions of at most 11 vertices go to _small_polynomial, and every
+    # larger one keeps label order
+    assert engine_work(mis_suspensions()) == Work(645_128, 1_882, 6_676, 0, 0)
 
 
 def test_state_visits_on_long_chains():
-    assert engine_work([path_graph(900), cycle_graph(600)]) == (4_191, 0)
+    assert engine_work([path_graph(900), cycle_graph(600)]) == Work(4_191, 0, 2, 0, 0)
 
 
 def test_state_visits_on_a_wide_random_graph():
-    # the label-order walk gives up early on every mask above 11 vertices,
-    # so the greedy order and the pivots do the same work as without it
-    assert engine_work([gnp(80, 0.1, 2)]) == (1_404_056, 5)
+    # label order is dropped on every mask above 11 vertices, after about
+    # one vertex each, for 2 019 of the visits; the greedy order counts 627
+    # of those masks, with the other 1 404 056, and the rest are pivoted
+    assert engine_work([gnp(80, 0.1, 2)]) == Work(1_406_075, 5, 0, 1_340, 627)
 
 
 def test_deep_pivots_and_long_caterpillars_finish():
@@ -482,7 +523,8 @@ def test_packed_slots_hold_the_largest_counts(above, monkeypatch):
 def test_packed_kernel_on_no_steps_is_one():
     # an empty mask has no step to take, in any order
     for kernel in (indpoly._packed_frontier_polynomial, indpoly._frontier_polynomial):
-        assert kernel((), 0, indpoly.LABEL_ORDER) == ONE
+        assert kernel((), 0, indpoly._label_order((), 0)) == ONE
+        assert kernel((), 0, []) == ONE
 
 
 def complete_graph(n):
@@ -506,27 +548,28 @@ def test_only_a_larger_root_is_searched(monkeypatch):
     # vertex pivot, with no order search and no frontier loop
     kernels = spy_kernels(monkeypatch)
     searched = []
-    thin_order = indpoly._thin_order
+    for name in ("_label_order", "_greedy_order"):
 
-    def search(adj, mask):
-        searched.append(mask.bit_count())
-        return thin_order(adj, mask)
+        def search(adj, mask, name=name, order=getattr(indpoly, name)):
+            searched.append((name, mask.bit_count()))
+            return order(adj, mask)
 
-    monkeypatch.setattr(indpoly, "_thin_order", search)
+        monkeypatch.setattr(indpoly, name, search)
     k = indpoly.FRONTIER_WIDTH + 1
     assert independence_polynomial(path_graph(k)).coeffs == path_coefficients(k)
     assert kernels == ["_small_polynomial"]
     assert searched == []
-    # one vertex more and the root is searched, and keeps label order in
-    # the packed loop
+    # one vertex more and the root is counted in label order in the packed
+    # loop, which keeps it, so the greedy order is never built
     assert independence_polynomial(path_graph(k + 1)).coeffs == path_coefficients(k + 1)
     assert kernels == ["_small_polynomial", "_packed_frontier_polynomial"]
-    assert searched == [k + 1]
-    # a root the search refuses is pivoted, and its piece of k vertices
-    # goes to the lowest-vertex pivot unsearched
+    assert searched == [("_label_order", k + 1)]
+    # a root whose label-order count is dropped and whose greedy order
+    # fails is pivoted, and its piece of k vertices goes to the lowest-
+    # vertex pivot unsearched
     assert independence_polynomial(complete_graph(k + 1)).coeffs == (1, k + 1)
-    assert kernels[2:] == ["_small_polynomial"]
-    assert searched == [k + 1, k + 1]
+    assert kernels[2:] == ["_packed_frontier_polynomial", "_small_polynomial"]
+    assert searched[1:] == [("_label_order", k + 1), ("_greedy_order", k + 1)]
 
 
 def induced(g, keep):
@@ -544,11 +587,14 @@ def test_engine_identities_above_the_bruteforce_limit(seed, monkeypatch):
     rng = random.Random(seed)
     g = gnp(rng.randint(27, 45), rng.choice([0.05, 0.1, 0.15]), seed)
     full = (1 << g.n) - 1
+    # a relabelling moves the vertex at which label order is dropped
+    moved = relabelled(g, shuffled(g.n, seed))
     kernels = spy_kernels(monkeypatch)
     for width, pack in ((indpoly.FRONTIER_WIDTH, indpoly.PACK_MAX_N), (3, g.n), (3, 0)):
         monkeypatch.setattr(indpoly, "FRONTIER_WIDTH", width)
         monkeypatch.setattr(indpoly, "PACK_MAX_N", pack)
         p = independence_polynomial(g)
+        assert independence_polynomial(moved) == p, (width, pack)
         # P'(G) = sum over v of P(G - N[v]): a set of size i counts once
         # for each of its i members
         derivative = IntPolynomial()
