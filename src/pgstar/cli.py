@@ -36,7 +36,7 @@ from .graphs import (
     path_graph,
     suspension,
 )
-from .graphio import MAX_EDGES, MAX_VERTICES, ParseError, load_graph
+from .graphio import ParseError, check_size, load_graph
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -80,7 +80,7 @@ def _cw_spec_from_args(args) -> CameronWalkerSpec:
             "family 'cameron-walker' needs --core-x, --core-y, --core-edges, --leaves"
         )
     # the core alone must fit before a triangle count is listed per Y vertex
-    _check_family_size(args.core_x + args.core_y, 0)
+    check_size(args.core_x + args.core_y)
     return CameronWalkerSpec(
         core_x=args.core_x,
         core_y=args.core_y,
@@ -94,15 +94,6 @@ def _cw_spec_from_args(args) -> CameronWalkerSpec:
     )
 
 
-def _check_family_size(n: int, m: int) -> None:
-    """A family member with n vertices and m edges obeys the limits of an
-    edge list, checked before anything is built."""
-    if n > MAX_VERTICES:
-        raise EnumerationLimitError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
-    if m > MAX_EDGES:
-        raise EnumerationLimitError(f"{m} edges exceed the limit of {MAX_EDGES}")
-
-
 def _build_family(args) -> tuple[Graph, dict, dict]:
     """Returns the graph, a JSON-friendly parameter echo and the family's
     closed-form prediction."""
@@ -110,7 +101,7 @@ def _build_family(args) -> tuple[Graph, dict, dict]:
     if name in ("path", "cycle"):
         if args.n is None:
             raise ValueError(f"--n is required for family {name!r}")
-        _check_family_size(args.n, args.n)  # a cycle has n edges, a path fewer
+        check_size(args.n, args.n)  # a cycle has n edges, a path fewer
         g = path_graph(args.n) if name == "path" else cycle_graph(args.n)
         return g, {"n": args.n}, families.predict_chain(name, args.n)
     if name == "multipartite":
@@ -119,12 +110,12 @@ def _build_family(args) -> tuple[Graph, dict, dict]:
         parts = _parse_int_list(args.parts, "--parts")
         total = sum(parts)
         # every pair of vertices in different parts is an edge
-        _check_family_size(total, (total * total - sum(p * p for p in parts)) // 2)
+        check_size(total, (total * total - sum(p * p for p in parts)) // 2)
         g = complete_multipartite(parts)
         return g, {"parts": parts}, families.predict_multipartite(parts)
     spec = _cw_spec_from_args(args)
     edges = len(spec.core_edges) + sum(spec.leaves) + 3 * sum(spec.triangles)
-    _check_family_size(spec.total_vertices, edges)
+    check_size(spec.total_vertices, edges)
     params = {
         "core_x": spec.core_x,
         "core_y": spec.core_y,
@@ -268,6 +259,9 @@ def _run_sweep(args) -> verification.VerifyOutcome:
     foreign = [args.sweep_flags[dest] for dest in options if dest not in accepted]
     if foreign:
         raise ValueError(f"verify {args.theorem} does not take {', '.join(foreign)}")
+    for dest in ("random_count", "count"):
+        if options.get(dest, 0) < 0:
+            raise ValueError(f"{args.sweep_flags[dest]} must be >= 0")
     if options.get("mis_limit", 1) < 1:
         raise ValueError("enumeration cap must be >= 1")
     if args.jobs < 1:

@@ -25,6 +25,19 @@ GRAPH6_MAX_N = 62
 GRAPH6_HEADER = ">>graph6<<"
 
 
+def check_size(n: int, m: int = 0, what: str = "") -> None:
+    """Refuse a graph of n vertices and m edges past ``MAX_VERTICES`` or
+    ``MAX_EDGES``, before anything is built; ``what`` names it in the
+    message.  Every graph the program builds from user input is checked
+    here: an edge list, a family member and the largest member of a range
+    sweep."""
+    prefix = f"{what}: " if what else ""
+    if n > MAX_VERTICES:
+        raise EnumerationLimitError(f"{prefix}{n} vertices exceed the limit of {MAX_VERTICES}")
+    if m > MAX_EDGES:
+        raise EnumerationLimitError(f"{prefix}{m} edges exceed the limit of {MAX_EDGES}")
+
+
 class ParseError(ValueError):
     """Malformed graph input, annotated with the offending line."""
 
@@ -77,14 +90,7 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
         raise ParseError(f"expected header 'n m', got {header!r}", header_no) from None
     if n < 0 or m < 0:
         raise ParseError("vertex and edge counts must be nonnegative", header_no)
-    if n > MAX_VERTICES:
-        raise EnumerationLimitError(
-            f"line {header_no}: {n} vertices exceed the limit of {MAX_VERTICES}"
-        )
-    if m > MAX_EDGES:
-        raise EnumerationLimitError(
-            f"line {header_no}: {m} edges exceed the limit of {MAX_EDGES}"
-        )
+    check_size(n, m, f"line {header_no}")
 
     adj = [0] * n
     count = 0

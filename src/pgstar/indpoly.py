@@ -20,19 +20,21 @@ two sides:
   1. A subgraph of k <= FRONTIER_WIDTH + 1 vertices takes label order
      with no search, and ``_small_polynomial`` counts it top-down with no
      state table: P(S) = P(S - v) + x * P(S - N[v]) at the lowest vertex
-     v of S, or (1 + x) * P(S - v) if v has no neighbour in S, each mask
-     solved once per call through a memo that the call drops.  A memo
-     entry is what is left of S once a prefix of label order is processed
-     and the later neighbours of the vertices taken are removed, which is
-     a state of the label-order loop; so the memo holds no more entries
-     than that loop visits states, at most 2^(k-1) per step (after the
-     first step at most k - 1 vertices are unprocessed), and each entry
-     costs one call.  Each call drops the lowest vertex, so the recursion
-     is at most k deep.  Counts are packed at x = 2^8 when k <= 10, since
-     C(10, 5) = 252 < 256, and unpacked by one ``int.to_bytes``; a larger
-     k takes slots of ceil(k / 8) bytes, since a count is below 2^k.  A
-     whole graph this small goes straight to it, with no pivot stack and
-     no cache.
+     v of S, or (1 + x) * P(S - v) if v has no neighbour in S.  A mask of
+     one vertex is 1 + x and one of two is 1 + 2x, plus x^2 when the two
+     are not adjacent; these are written down, at the root and wherever
+     a pivot leaves them, so only masks of three vertices or more make a
+     call.  There is no memo: a call drops one vertex on one branch and at
+     least two on the other, so k vertices cost at most F(k) - 1 calls
+     (F the Fibonacci numbers, F(1) = F(2) = 1), 88 at k = 11, which the
+     path P_11 reaches.  On the graphs of ``verify deg-via-ord`` a memo
+     answered 5 757 of its 130 720 lookups of three vertices or more, and
+     every miss paid for a store.  Each call drops the lowest vertex, so
+     the recursion is at most k deep.  Counts are packed at x = 2^8 when
+     k <= 10, since C(10, 5) = 252 < 256, and unpacked by one
+     ``int.to_bytes``; a larger k takes slots of ceil(k / 8) bytes, since
+     a count is below 2^k.  A whole graph this small goes straight to it,
+     with no pivot stack and no cache.
   2. A larger subgraph is counted in label order, and keeps that count
      if the frontier never holds more than min(delta + 1, FRONTIER_WIDTH)
      vertices, delta the least degree in the subgraph.  No order can do
@@ -312,41 +314,59 @@ def _frontier_count(adj: Sequence[int], mask: int, order: Iterable[int]) -> IntP
     return _frontier_polynomial(adj, mask, order)
 
 
-def _lowest_pivot(adj: Sequence[int], mask: int, memo: dict, width: int) -> int:
-    """P(mask) at x = 2^width, for a nonempty mask, by the pivot at its
-    lowest vertex; ``memo`` holds the masks below it solved so far."""
+def _lowest_pivot(adj: Sequence[int], mask: int, width: int) -> int:
+    """P(mask) at x = 2^width, for a mask of k >= 3 vertices, by the pivot
+    at its lowest vertex with no memo, in at most F(k) - 1 calls (rule 1
+    of the module docstring).
+
+    Where the pivot leaves one vertex, P is 1 + x, and where it leaves
+    two, 1 + 2x, plus x^2 when they are not adjacent; the call site
+    writes these down in place of a call.
+    """
     bit = mask & -mask
     rest = mask ^ bit
-    if not rest:
-        return 1 + (1 << width)
-    # the memo is read at each call site, so a hit costs no call
-    if rest in memo:
-        without = memo[rest]
+    # rest has two vertices or more, and two are adjacent when the lowest
+    # one's neighbours meet the pair
+    if rest.bit_count() > 2:
+        without = _lowest_pivot(adj, rest, width)
+    elif adj[(rest & -rest).bit_length() - 1] & rest:
+        without = 1 + (2 << width)
     else:
-        without = memo[rest] = _lowest_pivot(adj, rest, memo, width)
+        without = 1 + (2 << width) + (1 << 2 * width)
     around = adj[bit.bit_length() - 1] & rest
     if not around:
         return without + (without << width)
     far = rest ^ around
     if not far:
         return without + (1 << width)
-    if far in memo:
-        within = memo[far]
+    k = far.bit_count()
+    if k > 2:
+        within = _lowest_pivot(adj, far, width)
+    elif k == 1:
+        within = 1 + (1 << width)
+    elif adj[(far & -far).bit_length() - 1] & far:
+        within = 1 + (2 << width)
     else:
-        within = memo[far] = _lowest_pivot(adj, far, memo, width)
+        within = 1 + (2 << width) + (1 << 2 * width)
     return without + (within << width)
 
 
 def _small_polynomial(adj: Sequence[int], mask: int) -> IntPolynomial:
-    """P(mask) by ``_lowest_pivot`` for a mask of k <= FRONTIER_WIDTH + 1
-    vertices, in slots of one byte up to k = 10 and of ceil(k / 8) bytes
-    above (rule 1 of the module docstring)."""
-    if not mask:
-        return ONE
+    """P(mask) for a mask of k <= FRONTIER_WIDTH + 1 vertices (rule 1 of
+    the module docstring): written down when k <= 2, else by
+    ``_lowest_pivot`` in slots of one byte up to k = 10 and of ceil(k / 8)
+    bytes above."""
     k = mask.bit_count()
+    if k <= 2:
+        if not k:
+            return ONE
+        if k == 1:
+            return IntPolynomial((1, 1))
+        low = (mask & -mask).bit_length() - 1
+        return IntPolynomial((1, 2) if adj[low] & mask else (1, 2, 1))
     size = 1 if k <= 10 else (k + 7) // 8
     bits = 8 * size
-    packed = _lowest_pivot(adj, mask, {}, bits)
+    packed = _lowest_pivot(adj, mask, bits)
     data = packed.to_bytes((packed.bit_length() + bits - 1) // bits * size, "little")
     if size == 1:
         return IntPolynomial(data)

@@ -22,10 +22,14 @@ class IntPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        cs = tuple(coeffs)
+        if cs and not cs[-1]:
+            # only an untrimmed input is copied again
+            trimmed = list(cs)
+            while trimmed and not trimmed[-1]:
+                trimmed.pop()
+            cs = tuple(trimmed)
+        self._coeffs = cs
 
     @classmethod
     def binomial(cls, n: int) -> "IntPolynomial":

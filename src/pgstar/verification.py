@@ -39,7 +39,7 @@ from .graphs import (
     path_graph,
     suspension,
 )
-from .graphio import MAX_VERTICES
+from .graphio import MAX_VERTICES, check_size
 from .indpoly import (
     BRUTE_FORCE_LIMIT,
     independence_polynomial,
@@ -528,7 +528,11 @@ def _chain_graphs(kind: str, ns: Iterable[int]) -> Iterator[tuple[int, str, Grap
         yield n, f"{letter}_{n}", build(n)
 
 
+# Each range sweep checks its largest member before it builds any.  A chain,
+# its cone and its suspensions have at most 2n edges, so only their vertex
+# count can pass a limit.
 def verify_cycles(max_n: int = 40, jobs: int = 1) -> VerifyOutcome:
+    check_size(max_n, what=f"C_{max_n}")
     items = (
         (f"C_{n}", cycle_graph(n), families.predict_chain("cycle", n))
         for n in range(3, max_n + 1)
@@ -537,6 +541,7 @@ def verify_cycles(max_n: int = 40, jobs: int = 1) -> VerifyOutcome:
 
 
 def verify_paths(max_n: int = 40, jobs: int = 1) -> VerifyOutcome:
+    check_size(max_n, what=f"P_{max_n}")
     items = (
         (f"P_{n}", path_graph(n), families.predict_chain("path", n))
         for n in range(0, max_n + 1)
@@ -545,6 +550,7 @@ def verify_paths(max_n: int = 40, jobs: int = 1) -> VerifyOutcome:
 
 
 def verify_sequences(max_n: int = 60, jobs: int = 1) -> VerifyOutcome:
+    check_size(max_n, what=f"P_{max_n}")
     # the period-6 values at -1 alone; the signed mod-12 tables are these
     # times a sign (``families.a_value`` and ``b_value``)
     items = (
@@ -558,6 +564,9 @@ def verify_sequences(max_n: int = 60, jobs: int = 1) -> VerifyOutcome:
 def verify_multipartite(
     max_parts: int = 4, max_part_size: int = 5, jobs: int = 1
 ) -> VerifyOutcome:
+    # the largest member has max_parts parts of max_part_size vertices
+    k, size = max(max_parts, 0), max(max_part_size, 0)
+    check_size(k * size, k * (k - 1) // 2 * size**2, f"{k} parts of {size}")
     items = (
         (f"K_{parts}", complete_multipartite(parts), families.predict_multipartite(parts))
         for k in range(1, max_parts + 1)
@@ -592,6 +601,7 @@ def verify_vc_suspension(
 
 
 def verify_full_suspension(max_n: int = 36, jobs: int = 1) -> VerifyOutcome:
+    check_size(max_n + 1, what=f"cone over P_{max_n}")
     # the cone attaches the apex to every vertex 1..n
     items = (
         (f"cone over {name}", suspension(g, range(1, n + 1)), families.predict_cone(kind, n))
@@ -604,6 +614,7 @@ def verify_full_suspension(max_n: int = 36, jobs: int = 1) -> VerifyOutcome:
 def verify_cycle_mis_suspension(
     max_n: int = 18, jobs: int = 1, mis_limit: int = MIS_ENUMERATION_LIMIT
 ) -> VerifyOutcome:
+    check_size(max_n + 1, what=f"C_{max_n} susp")
     items = [(n, mis_limit) for n in range(3, max_n + 1)]
     return _gather("cycle-mis-suspension", _check_cycle_mis_suspension, items, jobs)
 
@@ -611,6 +622,7 @@ def verify_cycle_mis_suspension(
 def verify_path_mis_suspension(
     max_n: int = 18, jobs: int = 1, mis_limit: int = MIS_ENUMERATION_LIMIT
 ) -> VerifyOutcome:
+    check_size(max_n + 1, what=f"P_{max_n} susp")
     items = [(n, mis_limit) for n in range(2, max_n + 1)]
     return _gather("path-mis-suspension", _check_path_mis_suspension, items, jobs)
 

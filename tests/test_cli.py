@@ -462,7 +462,9 @@ def test_verify_corpus_past_its_cap_exits_3(argv, message, capsys):
     "argv",
     [
         ["verify", "cycles", "--max-n", "-5"],
-        ["verify", "cameron-walker", "--count", "-3"],
+        # a negative count is refused before the sweep runs (see
+        # test_negative_count_exits_2); a count of 0 selects nothing
+        ["verify", "cameron-walker", "--count", "0"],
         ["verify", "oracle", "--random", "0", "--exhaustive-n", "-1"],
     ],
 )
@@ -613,6 +615,57 @@ def test_oversized_random_graph_exits_3_before_its_edges_are_drawn(argv, message
         timeout=10,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["paths", "--max-n", "20001"], "P_20001: 20001 vertices"),
+        (["cycles", "--max-n", "20001"], "C_20001: 20001 vertices"),
+        (["sequences", "--max-n", "25000"], "P_25000: 25000 vertices"),
+        (["full-suspension", "--max-n", "20000"], "cone over P_20000: 20001 vertices"),
+        (["multipartite", "--max-parts", "2", "--max-part-size", "10001"],
+         "2 parts of 10001: 20002 vertices"),
+        (["cycle-mis-suspension", "--max-n", "20000", "--enum-cap", "30000"],
+         "C_20000 susp: 20001 vertices"),
+        (["path-mis-suspension", "--max-n", "20000"], "P_20000 susp: 20001 vertices"),
+    ],
+    ids=["paths", "cycles", "sequences", "full-suspension", "multipartite",
+         "cycle-mis-suspension", "path-mis-suspension"],
+)
+def test_range_sweep_past_the_vertex_limit_exits_3_at_once(argv, message):
+    # the largest member is checked before any member is built
+    proc = subprocess.run(
+        [sys.executable, "-m", "pgstar", "verify", *argv],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"error: {message} exceed the limit of {MAX_VERTICES}\n"
+
+
+def test_multipartite_sweep_past_the_edge_limit_exits_3(capsys):
+    argv = ["verify", "multipartite", "--max-parts", "2", "--max-part-size", "1001"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: 2 parts of 1001: 1002001 edges exceed the limit of {MAX_EDGES}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["deg-via-ord", "--random", "-3", "--exhaustive-n", "1"], "--random"),
+        (["oracle", "--random", "-1"], "--random"),
+        (["vc-suspension", "--count", "-2"], "--count"),
+        (["cameron-walker", "--count", "-1"], "--count"),
+    ],
+    ids=["deg-via-ord", "oracle", "vc-suspension", "cameron-walker"],
+)
+def test_negative_count_exits_2(argv, option, capsys):
+    code, out, err = run_cli(["verify", *argv], capsys)
+    assert (code, out, err) == (2, "", f"error: {option} must be >= 0\n")
 
 
 # the closed-form sweeps ship each graph and its prediction to the pool

@@ -7,7 +7,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pgstar.graphio import (
+    MAX_EDGES,
+    MAX_VERTICES,
     ParseError,
+    check_size,
     load_graph,
     parse_edge_list,
     parse_graph6,
@@ -97,6 +100,14 @@ def test_shuffled_and_reversed_edge_lines_parse_back(g, rng):
     lines = [f"{v} {u}" if rng.random() < 0.5 else f"{u} {v}" for u, v in g.edges()]
     rng.shuffle(lines)
     assert parse_edge_list("\n".join([f"{g.n} {len(lines)}", *lines]) + "\n") == g
+
+
+def test_check_size_refuses_past_either_limit_and_names_the_graph():
+    check_size(MAX_VERTICES, MAX_EDGES)
+    with pytest.raises(EnumerationLimitError, match=f"^{MAX_VERTICES + 1} vertices exceed"):
+        check_size(MAX_VERTICES + 1)
+    with pytest.raises(EnumerationLimitError, match=f"^P_3: {MAX_EDGES + 1} edges exceed"):
+        check_size(3, MAX_EDGES + 1, "P_3")
 
 
 # -- reading a file line by line ----------------------------------------------

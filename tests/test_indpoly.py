@@ -371,8 +371,8 @@ class Work(NamedTuple):
     # frontier states visited, one per state per step, counts dropped
     # before their last vertex included
     visits: int
-    # masks the memos of _small_polynomial hold at the end of each call
-    entries: int
+    # calls of _lowest_pivot, recursive ones included
+    pivots: int
     # label-order counts that reach their last vertex, and those dropped
     kept: int
     dropped: int
@@ -383,7 +383,7 @@ class Work(NamedTuple):
 def engine_work(graphs) -> Work:
     """The engine's work on ``graphs``, each kernel's order replayed over
     sets of blocked vertices."""
-    visits = entries = kept = dropped = greedy = 0
+    visits = pivots = kept = dropped = greedy = 0
 
     def counted(kernel):
         def replay(adj, mask, order):
@@ -415,17 +415,13 @@ def engine_work(graphs) -> Work:
         return replay
 
     lowest_pivot = indpoly._lowest_pivot
-    # the memo of the call under way, kept alive so no later memo shares its id
-    current = None
 
-    def counted_pivot(adj, mask, memo, width):
-        nonlocal entries, current
-        if memo is current:
-            return lowest_pivot(adj, mask, memo, width)
-        current = memo
-        packed = lowest_pivot(adj, mask, memo, width)
-        entries += len(memo)
-        return packed
+    # the recursion looks _lowest_pivot up in the module, so every call
+    # comes through here
+    def counted_pivot(adj, mask, width):
+        nonlocal pivots
+        pivots += 1
+        return lowest_pivot(adj, mask, width)
 
     with pytest.MonkeyPatch.context() as patch:
         for name in ("_frontier_polynomial", "_packed_frontier_polynomial"):
@@ -433,7 +429,7 @@ def engine_work(graphs) -> Work:
         patch.setattr(indpoly, "_lowest_pivot", counted_pivot)
         for g in graphs:
             independence_polynomial(g)
-    return Work(visits, entries, kept, dropped, greedy)
+    return Work(visits, pivots, kept, dropped, greedy)
 
 
 def gnp(n, p, seed):
@@ -441,20 +437,20 @@ def gnp(n, p, seed):
     return Graph(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p])
 
 
-# exact work on the benchmark's inputs, so an order that costs more states
-# fails here before it shows in a timing; the memo entries of
-# _small_polynomial are states of the label-order loop too
-def test_memo_entries_on_tiny_exhaustive():
+# exact work on the benchmark's inputs, so an order that costs more states,
+# or a rule-1 kernel that makes more calls, fails here before it shows in a
+# timing
+def test_pivot_calls_on_tiny_exhaustive():
     # the graphs of ``verify deg-via-ord`` at its defaults, none above 10
     # vertices, so no frontier loop runs
     graphs = (g for _, g in _mixed_corpus(500, 10, 1729, 6))
-    assert engine_work(graphs) == Work(0, 274_382, 0, 0, 0)
+    assert engine_work(graphs) == Work(0, 166_139, 0, 0, 0)
 
 
 def test_state_visits_on_mis_suspensions():
     # suspensions of at most 11 vertices go to _small_polynomial, and every
     # larger one keeps label order
-    assert engine_work(mis_suspensions()) == Work(645_128, 1_882, 6_676, 0, 0)
+    assert engine_work(mis_suspensions()) == Work(645_128, 3_825, 6_676, 0, 0)
 
 
 def test_state_visits_on_long_chains():
@@ -464,8 +460,55 @@ def test_state_visits_on_long_chains():
 def test_state_visits_on_a_wide_random_graph():
     # label order is dropped on every mask above 11 vertices, after about
     # one vertex each, for 2 019 of the visits; the greedy order counts 627
-    # of those masks, with the other 1 404 056, and the rest are pivoted
-    assert engine_work([gnp(80, 0.1, 2)]) == Work(1_406_075, 5, 0, 1_340, 627)
+    # of those masks, with the other 1 404 056, and the rest are pivoted;
+    # of the pieces that rule 1 counts, 18 have one or two vertices and one
+    # has three
+    assert engine_work([gnp(80, 0.1, 2)]) == Work(1_406_075, 1, 0, 1_340, 627)
+
+
+def test_small_polynomial_on_every_mask_of_every_graph_up_to_5_vertices():
+    # masks of one and two vertices, adjacent or not, at every bit position,
+    # as a root and as what a pivot leaves
+    from pgstar.verification import all_graphs_up_to
+
+    for g in all_graphs_up_to(5):
+        for mask in range(1 << g.n):
+            want = independence_polynomial_bruteforce(induced(g, mask))
+            assert indpoly._small_polynomial(g._adj, mask) == want, (g.edges(), mask)
+
+
+def pivot_calls(g) -> int:
+    """The calls of ``_lowest_pivot`` that ``_small_polynomial`` makes on g."""
+    calls = 0
+    lowest_pivot = indpoly._lowest_pivot
+
+    def counted(adj, mask, width):
+        nonlocal calls
+        calls += 1
+        return lowest_pivot(adj, mask, width)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(indpoly, "_lowest_pivot", counted)
+        want = independence_polynomial_bruteforce(g)
+        assert indpoly._small_polynomial(g._adj, (1 << g.n) - 1) == want
+    return calls
+
+
+def test_lowest_pivot_calls_are_bounded_by_fibonacci():
+    # a call drops one vertex on one branch and at least two on the other,
+    # and masks of at most two vertices make no call, so k vertices cost at
+    # most F(k) - 1 calls; a path takes exactly that many
+    fib = [0, 1]
+    while len(fib) <= indpoly.FRONTIER_WIDTH + 1:
+        fib.append(fib[-1] + fib[-2])
+    for k in range(indpoly.FRONTIER_WIDTH + 2):
+        assert pivot_calls(path_graph(k)) == max(fib[k] - 1, 0)
+    k = indpoly.FRONTIER_WIDTH + 1
+    assert pivot_calls(path_graph(k)) == 88
+    rng = random.Random(11)
+    for _ in range(300):
+        g = gnp(k, rng.choice([0.1, 0.2, 0.3, 0.5, 0.7]), rng.randrange(1 << 30))
+        assert pivot_calls(g) <= 88
 
 
 def test_deep_pivots_and_long_caterpillars_finish():

@@ -15,6 +15,22 @@ def test_trailing_zeros_are_trimmed():
     assert p.degree == 1
 
 
+@pytest.mark.parametrize("coeffs", [(3, 0, 2), (3, 0, 2, 0, 0), (0, 0, 0), ()])
+def test_every_iterable_gives_the_same_coefficients(coeffs):
+    want = tuple(coeffs)
+    while want and want[-1] == 0:
+        want = want[:-1]
+    for given in (list(coeffs), tuple(coeffs), bytes(coeffs), (c for c in coeffs)):
+        assert IntPolynomial(given).coeffs == want
+        assert type(IntPolynomial(given).coeffs) is tuple
+
+
+def test_a_trimmed_tuple_is_stored_as_is():
+    t = (1, 2, 3)
+    assert IntPolynomial(t).coeffs is t
+    assert IntPolynomial((1, 2, 0)).coeffs == (1, 2)
+
+
 def test_zero_polynomial():
     assert ZERO.coeffs == ()
     assert ZERO.degree == -1

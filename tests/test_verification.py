@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from pgstar import analysis, families, verification
+from pgstar import analysis, families, graphio, verification
 from pgstar.analysis import analyze
 from pgstar.graphio import MAX_VERTICES
 from pgstar.graphs import (
@@ -294,6 +294,31 @@ def test_random_corpora_reject_sizes_no_graph_has():
 def test_enum_cap_propagates():
     with pytest.raises(EnumerationLimitError):
         verification.verify_cycle_mis_suspension(max_n=12, mis_limit=10)
+
+
+@pytest.mark.parametrize(
+    "sweep, largest",
+    [
+        (lambda k: verification.verify_paths(k), lambda k: k),
+        (lambda k: verification.verify_cycles(k), lambda k: k),
+        (lambda k: verification.verify_sequences(k), lambda k: k),
+        (lambda k: verification.verify_full_suspension(k), lambda k: k + 1),
+        (lambda k: verification.verify_cycle_mis_suspension(k), lambda k: k + 1),
+        (lambda k: verification.verify_path_mis_suspension(k), lambda k: k + 1),
+        (lambda k: verification.verify_multipartite(1, k), lambda k: k),
+        (lambda k: verification.verify_multipartite(k, 1), lambda k: k),
+    ],
+    ids=["paths", "cycles", "sequences", "full-suspension", "cycle-mis-suspension",
+         "path-mis-suspension", "multipartite-size", "multipartite-parts"],
+)
+def test_a_range_sweep_is_refused_exactly_past_the_vertex_limit(sweep, largest, monkeypatch):
+    monkeypatch.setattr(graphio, "MAX_VERTICES", 9)
+    k = 9
+    while largest(k) > 9:
+        k -= 1
+    assert sweep(k).passed
+    with pytest.raises(EnumerationLimitError, match="^.*: 10 vertices exceed the limit of 9$"):
+        sweep(k + 1)
 
 
 def test_oracle_refuses_an_oversized_graph_before_any_check(monkeypatch):
