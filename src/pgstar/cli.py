@@ -241,6 +241,9 @@ def cmd_suspend(args) -> int:
     if not members:
         raise ValueError("attachment set must be nonempty")
     roles = _set_roles(g, members)
+    # the suspension adds a vertex and an edge to each member
+    m = sum(a.bit_count() for a in g._adj) // 2
+    check_size(g.n + 1, m + len(members), "suspension")
     h = suspension(g, members)
     predicted = _suspension_prediction(args, g, members, roles)
     fields = {"base_n": g.n, "attachment": sorted(members), "roles": roles}

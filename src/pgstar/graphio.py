@@ -29,8 +29,8 @@ def check_size(n: int, m: int = 0, what: str = "") -> None:
     """Refuse a graph of n vertices and m edges past ``MAX_VERTICES`` or
     ``MAX_EDGES``, before anything is built; ``what`` names it in the
     message.  Every graph the program builds from user input is checked
-    here: an edge list, a family member and the largest member of a range
-    sweep."""
+    here: an edge list, a family member, a suspension and the largest
+    member of a range sweep."""
     prefix = f"{what}: " if what else ""
     if n > MAX_VERTICES:
         raise EnumerationLimitError(f"{prefix}{n} vertices exceed the limit of {MAX_VERTICES}")

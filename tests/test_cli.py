@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pgstar
-from pgstar import analysis, cli, verification
+from pgstar import analysis, cli, graphio, verification
 from pgstar.cli import EXIT_LIMIT, EXIT_USAGE, main
 from pgstar.graphio import MAX_EDGES, MAX_VERTICES, parse_edge_list
 from pgstar.polynomials import IntPolynomial
@@ -644,6 +644,37 @@ def test_range_sweep_past_the_vertex_limit_exits_3_at_once(argv, message):
     )
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == f"error: {message} exceed the limit of {MAX_VERTICES}\n"
+
+
+@pytest.mark.parametrize("source", ["family", "input"])
+@pytest.mark.parametrize(
+    "limit, n, refused",
+    [
+        # the cone over P_n has n + 1 vertices and 2n - 1 edges, and the
+        # base P_n is within both patched limits
+        ("MAX_VERTICES", 9, "10 vertices exceed the limit of 9"),
+        ("MAX_VERTICES", 8, None),
+        ("MAX_EDGES", 10, "19 edges exceed the limit of 17"),
+        ("MAX_EDGES", 9, None),
+    ],
+    ids=["vertices-past", "vertices-at", "edges-past", "edges-at"],
+)
+def test_a_suspension_past_the_limit_exits_3(
+    source, limit, n, refused, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(graphio, limit, 9 if limit == "MAX_VERTICES" else 17)
+    if source == "family":
+        argv = ["suspend", "--family", "path", "--n", str(n), "--full"]
+    else:
+        path = tmp_path / "path.txt"
+        path.write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(1, n)))
+        argv = ["suspend", "--input", str(path), "--full"]
+    code, out, err = run_cli(argv, capsys)
+    if refused:
+        assert (code, out, err) == (3, "", f"error: suspension: {refused}\n")
+    else:
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split() == ["n:", str(n + 1)]
 
 
 def test_multipartite_sweep_past_the_edge_limit_exits_3(capsys):

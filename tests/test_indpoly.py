@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import chain, combinations
 from math import comb
 from typing import NamedTuple
@@ -461,9 +462,25 @@ def test_state_visits_on_a_wide_random_graph():
     # label order is dropped on every mask above 11 vertices, after about
     # one vertex each, for 2 019 of the visits; the greedy order counts 627
     # of those masks, with the other 1 404 056, and the rest are pivoted;
-    # of the pieces that rule 1 counts, 18 have one or two vertices and one
-    # has three
+    # of the pieces that rule 1 counts, 89 have one or two vertices (71 of
+    # them a piece counted before) and one has three
     assert engine_work([gnp(80, 0.1, 2)]) == Work(1_406_075, 1, 0, 1_340, 627)
+
+
+@pytest.mark.parametrize("parts", [(100, 100, 100), (200, 200)])
+def test_pivot_side_holds_no_polynomial_it_does_not_need(parts):
+    # every pivot leaves an edgeless piece G - N[v], which waits as a mask
+    # while G - v is counted; holding one polynomial per pivot until the
+    # call returns peaks at 1.04 and 2.42 MB
+    g = complete_multipartite(parts)
+    tracemalloc.start()
+    try:
+        p = independence_polynomial(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.coeffs[:2] == (1, g.n)
+    assert peak < 250_000
 
 
 def test_small_polynomial_on_every_mask_of_every_graph_up_to_5_vertices():
@@ -608,10 +625,14 @@ def test_only_a_larger_root_is_searched(monkeypatch):
     assert kernels == ["_small_polynomial", "_packed_frontier_polynomial"]
     assert searched == [("_label_order", k + 1)]
     # a root whose label-order count is dropped and whose greedy order
-    # fails is pivoted, and its piece of k vertices goes to the lowest-
-    # vertex pivot unsearched
+    # fails is pivoted: its piece G - v of k vertices goes to the lowest-
+    # vertex pivot unsearched, and its empty piece G - N[v] is ONE there
     assert independence_polynomial(complete_graph(k + 1)).coeffs == (1, k + 1)
-    assert kernels[2:] == ["_packed_frontier_polynomial", "_small_polynomial"]
+    assert kernels[2:] == [
+        "_packed_frontier_polynomial",
+        "_small_polynomial",
+        "_small_polynomial",
+    ]
     assert searched[1:] == [("_label_order", k + 1), ("_greedy_order", k + 1)]
 
 
