@@ -534,8 +534,8 @@ def _chain_graphs(kind: str, ns: Iterable[int]) -> Iterator[tuple[int, str, Grap
 def verify_cycles(max_n: int = 40, jobs: int = 1) -> VerifyOutcome:
     check_size(max_n, what=f"C_{max_n}")
     items = (
-        (f"C_{n}", cycle_graph(n), families.predict_chain("cycle", n))
-        for n in range(3, max_n + 1)
+        (name, g, families.predict_chain("cycle", n))
+        for n, name, g in _chain_graphs("cycle", range(3, max_n + 1))
     )
     return _gather("cycles", _check_prediction, items, jobs)
 
@@ -543,8 +543,8 @@ def verify_cycles(max_n: int = 40, jobs: int = 1) -> VerifyOutcome:
 def verify_paths(max_n: int = 40, jobs: int = 1) -> VerifyOutcome:
     check_size(max_n, what=f"P_{max_n}")
     items = (
-        (f"P_{n}", path_graph(n), families.predict_chain("path", n))
-        for n in range(0, max_n + 1)
+        (name, g, families.predict_chain("path", n))
+        for n, name, g in _chain_graphs("path", range(max_n + 1))
     )
     return _gather("paths", _check_prediction, items, jobs)
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pgstar
-from pgstar import analysis, cli, graphio, verification
+from pgstar import analysis, cli, graphio, indpoly, verification
 from pgstar.cli import EXIT_LIMIT, EXIT_USAGE, main
 from pgstar.graphio import MAX_EDGES, MAX_VERTICES, parse_edge_list
 from pgstar.polynomials import IntPolynomial
@@ -129,12 +129,50 @@ def test_compute_k23(tmp_path, capsys):
     assert json.loads(out)["pseudo_gorenstein_star"] is True
 
 
+def test_a_ladder_reports_alike_under_label_and_greedy_order(tmp_path, capsys):
+    # 600 vertices take the list kernel.  Rungs (2i - 1, 2i) keep label
+    # order; rungs (i, i + 300) drop it at the third vertex and are counted
+    # along the greedy order
+    rungs = 300
+    assert 2 * rungs > indpoly.PACK_MAX_N
+    rails = range(1, rungs)
+    labellings = {
+        "label": [(2 * i - 1, 2 * i) for i in range(1, rungs + 1)]
+        + [e for i in rails for e in ((2 * i - 1, 2 * i + 1), (2 * i, 2 * i + 2))],
+        "greedy": [(i, i + rungs) for i in range(1, rungs + 1)]
+        + [e for i in rails for e in ((i, i + 1), (i + rungs, i + rungs + 1))],
+    }
+    runs = []
+    for name, edges in labellings.items():
+        path = tmp_path / f"ladder-{name}.txt"
+        path.write_text(f"{2 * rungs} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        runs.append(run_cli(["compute", str(path), "--output", "json"], capsys))
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
+
+
 def test_compute_graph6_input(tmp_path, capsys):
     path = tmp_path / "triangle.g6"
     path.write_text("Bw\n")
     code, out, _ = run_cli(["compute", str(path), "--output", "json"], capsys)
     assert code == 0
     assert json.loads(out)["n"] == 3
+
+
+def test_petersen_as_an_edge_list_and_as_graph6_reports_alike(tmp_path, capsys):
+    # outer 5-cycle, spokes i -- i + 5 and the inner pentagram
+    edges = [
+        e for i in range(1, 6) for e in ((i, i % 5 + 1), (i, i + 5), (i + 5, (i + 1) % 5 + 6))
+    ]
+    edge_list = tmp_path / "petersen.txt"
+    edge_list.write_text("10 15\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    graph6 = tmp_path / "petersen.g6"
+    graph6.write_text("IheA@GUAo\n")
+    runs = [
+        run_cli(["compute", str(path), "--output", "json"], capsys) for path in (edge_list, graph6)
+    ]
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
 
 
 def test_compute_malformed_file_exits_2(tmp_path, capsys):
@@ -560,6 +598,44 @@ def test_edge_count_over_the_limit_exits_3(tmp_path, capsys):
     assert err == f"error: line 2: {MAX_EDGES + 1} edges exceed the limit of {MAX_EDGES}\n"
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_a_refused_header_is_the_last_line_read(tmp_path):
+    # an edge list is read line by line, so the header is refused before the
+    # million edge lines after it are read; a reader that took the whole file
+    # first runs out of the child's 80 MB address space and exits 4
+    import resource
+
+    cap = 80_000 * 1024
+    path = tmp_path / "refused.txt"
+    path.write_text(f"{MAX_VERTICES + 1} {MAX_EDGES}\n" + "1 2\n" * MAX_EDGES)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pgstar", "compute", str(path)],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_LIMIT, "")
+    assert proc.stderr == (
+        f"error: line 1: {MAX_VERTICES + 1} vertices exceed the limit of {MAX_VERTICES}\n"
+    )
+
+
+def test_a_dense_edge_list_is_computed(tmp_path, capsys):
+    # K_600 has 179 700 edge lines, each set straight into the adjacency
+    # masks; every pair is an edge, so P = 1 + 600x
+    n = 600
+    path = tmp_path / "k600.txt"
+    path.write_text(
+        f"{n} {n * (n - 1) // 2}\n"
+        + "".join(f"{u} {v}\n" for u in range(1, n + 1) for v in range(u + 1, n + 1))
+    )
+    code, out, err = run_cli(["compute", str(path), "--output", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["independence_polynomial"] == ["1", str(n)]
+
+
 def test_vc_suspension_enum_cap_exits_3(capsys):
     # the seed-0 graph has 25 vertices, one above the default cap
     code, out, err = run_cli(
@@ -699,29 +775,51 @@ def test_negative_count_exits_2(argv, option, capsys):
     assert (code, out, err) == (2, "", f"error: {option} must be >= 0\n")
 
 
-# the closed-form sweeps ship each graph and its prediction to the pool
+# the closed-form sweeps ship each graph and its prediction to the pool.  At
+# these sizes the MIS suspensions and the cones have masks above 11
+# vertices that keep their label-order count, and the oracle's random
+# graphs of 12 to 14 vertices mostly take the greedy order
 @pytest.mark.parametrize(
     "argv",
     [
         ["cycles", "--max-n", "12"],
         ["paths", "--max-n", "12"],
-        ["sequences", "--max-n", "12"],
+        ["sequences", "--max-n", "60"],
         ["multipartite", "--max-parts", "3", "--max-part-size", "3"],
         ["cameron-walker", "--count", "8", "--max-vertices", "10"],
-        ["full-suspension", "--max-n", "10"],
-        ["path-mis-suspension", "--max-n", "10"],
-        ["cycle-mis-suspension", "--max-n", "12"],
+        ["full-suspension", "--max-n", "20"],
+        ["path-mis-suspension", "--max-n", "14"],
+        ["cycle-mis-suspension", "--max-n", "14"],
         ["vc-suspension", "--count", "5", "--max-n", "6"],
-        ["deg-via-ord", "--random", "20", "--exhaustive-n", "4"],
+        ["deg-via-ord", "--random", "100", "--exhaustive-n", "5"],
+        ["oracle", "--random", "300", "--max-n", "14", "--exhaustive-n", "6"],
     ],
     ids=lambda argv: argv[0],
 )
-def test_verify_output_independent_of_parallelism(argv, capsys):
+def test_verify_output_independent_of_parallelism(argv, monkeypatch, capsys):
+    # --jobs 2 forks on any runner, and each side starts with an empty
+    # analysis memo, as a fresh process does
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     argv = ["verify", *argv, "--output", "json"]
-    code1, out1, _ = run_cli(argv + ["--jobs", "1"], capsys)
-    code2, out2, _ = run_cli(argv + ["--jobs", "2"], capsys)
-    assert (code1, code2) == (0, 0)
-    assert out1 == out2
+    runs = []
+    for jobs in ("1", "2"):
+        analysis._analyze_polynomial.cache_clear()
+        runs.append(run_cli(argv + ["--jobs", jobs], capsys))
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_a_finished_sweep_leaves_no_child_process(monkeypatch, capsys):
+    # both workers are forked, and reaped before the sweep returns
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, _, _ = run_cli(["verify", "cycles", "--max-n", "12", "--jobs", "2"], capsys)
+    assert (code, len(forks)) == (0, 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("output", ["json", "text"])
