@@ -79,7 +79,10 @@ def _cw_spec_from_args(args) -> CameronWalkerSpec:
         raise ValueError(
             "family 'cameron-walker' needs --core-x, --core-y, --core-edges, --leaves"
         )
-    # the core alone must fit before a triangle count is listed per Y vertex
+    # the core alone must fit before a triangle count is listed per Y vertex,
+    # and a negative side must not hide a huge one in the sum
+    if args.core_x < 1 or args.core_y < 1:
+        raise ValueError("both core sides must be nonempty")
     check_size(args.core_x + args.core_y)
     return CameronWalkerSpec(
         core_x=args.core_x,

@@ -30,10 +30,7 @@ def _bits(mask: int):
 
 
 def mask_components(adj: Sequence[int], mask: int) -> list[int]:
-    """Components of the subgraph induced by ``mask``, as bitmasks ordered by lowest bit.
-
-    The bit loop is inline, not ``_bits``: the engine calls this per subproblem.
-    """
+    """Components of the subgraph induced by ``mask``, as bitmasks ordered by lowest bit."""
     comps = []
     remaining = mask
     while remaining:
@@ -41,11 +38,8 @@ def mask_components(adj: Sequence[int], mask: int) -> list[int]:
         frontier = comp
         while frontier:
             nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= adj[b.bit_length() - 1]
+            for v in _bits(frontier):
+                nxt |= adj[v]
             frontier = nxt & remaining & ~comp
             comp |= frontier
         comps.append(comp)

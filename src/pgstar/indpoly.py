@@ -63,17 +63,16 @@ two sides:
   left.  The greedy order is built as a whole list before any count,
   since it fails on about half of the subgraphs that reach it (713 of
   1 340 on G(80, 0.1)), each of which would waste a count.  A vertex
-  with no later neighbour updates each state once, since joining
-  it blocks nothing new, and the last vertex, which leaves at most the
-  states {} and {v}, is summed into the result without a new state
-  table.  On a subgraph of k <= ``PACK_MAX_N`` vertices a state is one
-  int, its counts evaluated at x = 2^k (Kronecker substitution): the
-  sets of one size among k vertices number below 2^k, so no k-bit slot
-  carries, a join is one shift and a merge one addition.  A larger
-  subgraph keeps one coefficient list per state, because every step
-  would copy ints of k * alpha / 2 bits.  Paths and cycles have width 2;
-  ladders, caterpillars and 4 x k grids stay within the width at any
-  length.
+  with no later neighbour updates each state once, since joining it
+  blocks nothing new; the last vertex is one, and leaves the single
+  state of no blocked vertex, whose counts are the result.  On a
+  subgraph of k <= ``PACK_MAX_N`` vertices a state is one int, its
+  counts evaluated at x = 2^k (Kronecker substitution): the sets of one
+  size among k vertices number below 2^k, so no k-bit slot carries, a
+  join is one shift and a merge one addition.  A larger subgraph keeps
+  one coefficient list per state, because every step would copy ints of
+  k * alpha / 2 bits.  Paths and cycles have width 2; ladders,
+  caterpillars and 4 x k grids stay within the width at any length.
 - *Pivot side* (everything else).  The subgraph splits into connected
   components, whose polynomials multiply, and a connected one uses
   P(G) = P(G - v) + x * P(G - N[v]) at a maximum-degree vertex v.  Each
@@ -190,63 +189,48 @@ def _greedy_order(adj: Sequence[int], mask: int) -> list[int] | None:
     return order
 
 
+def _merge(states: dict[int, list[int]], key: int, counts: list[int]) -> None:
+    """Add ``counts`` into ``states[key]``, in place: every list is held by
+    one state only, so the longer of the two takes the sum."""
+    old = states.setdefault(key, counts)
+    if old is not counts:
+        if len(old) < len(counts):
+            states[key] = counts
+            old, counts = counts, old
+        for i, c in enumerate(counts):
+            old[i] += c
+
+
 def _frontier_polynomial(
     adj: Sequence[int], mask: int, order: Iterable[int]
 ) -> IntPolynomial | None:
     """Count the independent sets of ``mask`` along ``order``: each state
     maps the blocked, unprocessed vertices to the counts by size of the
     sets that block them.  None if ``order`` ends before the last vertex
-    of ``mask``."""
-    if not mask:
-        return ONE
+    of ``mask``; after it, only the state of no blocked vertex is left."""
     states = {0: [1]}
     rest = mask
     for v in order:
         bit = 1 << v
         rest ^= bit
-        if not rest:
-            break
         later = adj[v] & rest
         new: dict[int, list[int]] = {}
-        # every list is held by one state only, so merging adds in place;
-        # the merges stay inline because this is the engine's inner loop
         for blocked, counts in states.items():
             if blocked & bit:
                 blocked ^= bit
             elif later:
                 # the vertex joins the set and blocks its later neighbours
-                key = blocked | later
-                joined = [0, *counts]
-                old = new.get(key)
-                if old is None:
-                    new[key] = joined
-                else:
-                    if len(old) < len(joined):
-                        old, joined = joined, old
-                        new[key] = old
-                    for i, c in enumerate(joined):
-                        old[i] += c
+                _merge(new, blocked | later, [0, *counts])
             else:
                 # a join blocks nothing new and keeps the key
                 counts.append(0)
                 for i in range(len(counts) - 1, 0, -1):
                     counts[i] += counts[i - 1]
-            old = new.get(blocked)
-            if old is None:
-                new[blocked] = counts
-            else:
-                if len(old) < len(counts):
-                    old, counts = counts, old
-                    new[blocked] = old
-                for i, c in enumerate(counts):
-                    old[i] += c
+            _merge(new, blocked, counts)
         states = new
-    else:
+    if rest:
         return None
-    # the last vertex v: the states are the empty set and at most {v}, and
-    # v joins every set that does not block it
-    free = IntPolynomial(states[0])
-    return free + free.shift(1) + IntPolynomial(states.get(bit, ()))
+    return IntPolynomial(states[0])
 
 
 def _packed_frontier_polynomial(
@@ -258,18 +242,15 @@ def _packed_frontier_polynomial(
     join is one shift and a merge one addition.  With width = k, the
     mask's vertex count, no slot carries: a slot counts independent sets
     of size i among at most k processed vertices, and the counts of all
-    states together are at most C(k, i) < 2^k.
+    states together are at most C(k, i) < 2^k.  An empty mask still takes
+    one-bit slots, so the unpacking below moves on.
     """
-    if not mask:
-        return ONE
-    width = mask.bit_count()
+    width = mask.bit_count() or 1
     states = {0: 1}
     rest = mask
     for v in order:
         bit = 1 << v
         rest ^= bit
-        if not rest:
-            break
         later = adj[v] & rest
         new: dict[int, int] = {}
         # membership tests beat dict.get here, the engine's inner loop
@@ -291,13 +272,9 @@ def _packed_frontier_polynomial(
             else:
                 new[blocked] = counts
         states = new
-    else:
+    if rest:
         return None
-    # the last vertex v: the states are the empty set and at most {v}, and
-    # v joins every set that does not block it
-    packed = states[0] << width
-    for counts in states.values():
-        packed += counts
+    packed = states[0]
     slot = (1 << width) - 1
     coeffs = []
     while packed:

@@ -583,6 +583,20 @@ def test_a_huge_cameron_walker_core_exits_3_before_it_is_listed(command, capsys)
     assert err == f"error: {y + 1} vertices exceed the limit of {MAX_VERTICES}\n"
 
 
+@pytest.mark.parametrize(
+    "command", [["family"], ["suspend", "--full", "--family"]], ids=["family", "suspend"]
+)
+def test_a_negative_cameron_walker_side_exits_2_before_the_other_is_listed(command, capsys):
+    # the sum of the sides is 0, which fits; the 10^12 triangle counts would not
+    code, out, err = run_cli(
+        [*command, "cameron-walker", "--core-x", "-1000000000000", "--core-y",
+         "1000000000000", "--core-edges", "1:1", "--leaves", "1"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: both core sides must be nonempty\n"
+
+
 def test_family_over_the_edge_limit_exits_3(capsys):
     # K_(1001, 1000) has 1 001 000 edges; the check runs before any is listed
     code, out, err = run_cli(["family", "multipartite", "--parts", "1001,1000"], capsys)

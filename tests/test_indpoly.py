@@ -585,6 +585,19 @@ def test_packed_kernel_on_no_steps_is_one():
     for kernel in (indpoly._packed_frontier_polynomial, indpoly._frontier_polynomial):
         assert kernel((), 0, indpoly._label_order((), 0)) == ONE
         assert kernel((), 0, []) == ONE
+    # masks of one vertex and of two, adjacent or not, at every position of
+    # a path with an isolated vertex: the first step is also the last, in
+    # either order, and an order that stops one vertex short is dropped
+    g = Graph(4, [(1, 2), (2, 3)])
+    for mask in range(1, 1 << g.n):
+        if mask.bit_count() > 2:
+            continue
+        want = independence_polynomial_bruteforce(induced(g, mask))
+        vertices = vertices_of(mask)
+        for kernel in (indpoly._packed_frontier_polynomial, indpoly._frontier_polynomial):
+            assert kernel(g._adj, mask, indpoly._label_order(g._adj, mask)) == want, mask
+            assert kernel(g._adj, mask, vertices[::-1]) == want, mask
+            assert kernel(g._adj, mask, vertices[:-1]) is None, mask
 
 
 def complete_graph(n):
