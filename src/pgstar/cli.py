@@ -254,15 +254,20 @@ def cmd_suspend(args) -> int:
     return _emit_compared(args.output, fields, header, analyze(h), predicted)
 
 
+def _sweep_parameters(sweep) -> tuple[str, ...]:
+    """The parameters of a ``verify_*`` sweep, read off its code object:
+    importing inspect for its signature would cost about as much as
+    importing pgstar."""
+    code = sweep.__code__
+    return code.co_varnames[: code.co_argcount]
+
+
 def _run_sweep(args) -> verification.VerifyOutcome:
     sweep = verification.SWEEPS[args.theorem]
-    # the sweep's parameters come from its code object: importing inspect
-    # for its signature would cost about as much as importing pgstar
-    code = sweep.__code__
-    accepted = code.co_varnames[: code.co_argcount]
+    accepted = _sweep_parameters(sweep)
     # an option the user did not set is absent from args (SUPPRESS)
     options = {dest: getattr(args, dest) for dest in args.sweep_flags if hasattr(args, dest)}
-    foreign = [args.sweep_flags[dest] for dest in options if dest not in accepted]
+    foreign = sorted(args.sweep_flags[dest] for dest in options if dest not in accepted)
     if foreign:
         raise ValueError(f"verify {args.theorem} does not take {', '.join(foreign)}")
     for dest in ("random_count", "count"):
@@ -270,9 +275,9 @@ def _run_sweep(args) -> verification.VerifyOutcome:
             raise ValueError(f"{args.sweep_flags[dest]} must be >= 0")
     if options.get("mis_limit", 1) < 1:
         raise ValueError("enumeration cap must be >= 1")
-    if args.jobs < 1:
+    if options.get("jobs", 1) < 1:
         raise ValueError("parallelism degree must be >= 1")
-    outcome = sweep(**options, jobs=args.jobs)
+    outcome = sweep(**options)
     if not outcome.instances:
         raise ValueError(f"verify {args.theorem} selects no instances")
     return outcome
@@ -349,23 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run a named verification sweep", argument_default=argparse.SUPPRESS
     )
     p.add_argument("theorem", choices=verification.SWEEPS)
-    # each sweep option's dest is the verify_* parameter it is forwarded to
-    sweep_options = [
-        p.add_argument("--max-n", type=int),
-        p.add_argument(
-            "--random", dest="random_count", metavar="RANDOM", type=int, help="random corpus size"
-        ),
-        p.add_argument("--count", type=int, help="random instance count"),
-        p.add_argument("--max-parts", type=int),
-        p.add_argument("--max-part-size", type=int),
-        p.add_argument("--max-vertices", type=int),
-        p.add_argument("--exhaustive-n", type=int),
-        p.add_argument("--enum-cap", dest="mis_limit", metavar="ENUM_CAP", type=int),
-        p.add_argument("--seed", type=int),
-    ]
-    # an explicit default overrides the parser's SUPPRESS
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
-    flags = {action.dest: action.option_strings[0] for action in sweep_options}
+    # each verify_* parameter p is the option --p, spelled with - for _, with
+    # p as its dest; an option left out takes the sweep's own default
+    renamed = {"random_count": "--random", "mis_limit": "--enum-cap"}
+    dests = {dest for sweep in verification.SWEEPS.values() for dest in _sweep_parameters(sweep)}
+    flags = {dest: renamed.get(dest, "--" + dest.replace("_", "-")) for dest in dests}
+    for dest in sorted(flags, key=flags.get):
+        p.add_argument(flags[dest], dest=dest, type=int)
     p.set_defaults(handler=cmd_verify, sweep_flags=flags)
 
     for p in sub.choices.values():

@@ -24,8 +24,6 @@ NEVER_PG_STAR = "never-pg-star"
 
 _P_TABLE = (1, 0, -1, -1, 0, 1)
 _C_TABLE = (2, 1, -1, -2, -1, 1)
-_A_TABLE = (2, 1, 1, 2, -1, 1, -2, -1, -1, -2, 1, -1)
-_B_TABLE = (1, 0, 1, -1, 0, -1, -1, 0, -1, 1, 0, 1)
 
 
 def _check_cycle(n: int) -> None:
@@ -48,15 +46,12 @@ def c_value(n: int) -> int:
 
 def a_value(n: int) -> int:
     """(-1)^floor(n/2) * c_value(n), periodic mod 12."""
-    _check_cycle(n)
-    return _A_TABLE[n % 12]
+    return (-1) ** (n // 2) * c_value(n)
 
 
 def b_value(n: int) -> int:
     """(-1)^ceil(n/2) * p_value(n), periodic mod 12."""
-    if n < 0:
-        raise ValueError("path length must be nonnegative")
-    return _B_TABLE[n % 12]
+    return (-1) ** -(-n // 2) * p_value(n)
 
 
 def multipartite_closed_poly(parts: Sequence[int]) -> IntPolynomial:

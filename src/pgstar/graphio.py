@@ -162,15 +162,9 @@ def parse_graph6(text: str | Iterable[str]) -> Graph:
         if not 0 <= val <= 63:
             raise ParseError(f"invalid graph6 byte {ch!r}", line_no)
         bits.extend((val >> k) & 1 for k in range(5, -1, -1))
-    edges = []
-    idx = 0
     # upper triangle, column by column
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u + 1, v + 1))
-            idx += 1
-    return Graph(n, edges)
+    pairs = ((u, v) for v in range(2, n + 1) for u in range(1, v))
+    return Graph(n, [pair for pair, bit in zip(pairs, bits) if bit])
 
 
 def load_graph(path: str | Path, fmt: str = "auto") -> Graph:

@@ -22,6 +22,14 @@ class EnumerationLimitError(RuntimeError):
     configured cap."""
 
 
+def check_mis_limit(n: int, limit: int) -> None:
+    """Refuse to enumerate the maximal independent sets of a graph of n
+    vertices past ``limit``; a sweep checks its largest graph here before
+    it enumerates any."""
+    if n > limit:
+        raise EnumerationLimitError(f"maximal-independent-set enumeration capped at n = {limit}")
+
+
 def _bits(mask: int):
     while mask:
         b = mask & -mask
@@ -141,10 +149,7 @@ class Graph:
         a proper subset (hence a prefix) of another.
         """
         n = self._n
-        if n > limit:
-            raise EnumerationLimitError(
-                f"maximal-independent-set enumeration capped at n = {limit}"
-            )
+        check_mis_limit(n, limit)
         adj = self._adj
         closing = [0] * n
         for v in range(n):

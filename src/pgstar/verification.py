@@ -34,6 +34,7 @@ from .graphs import (
     _bits,
     _from_masks,
     cameron_walker,
+    check_mis_limit,
     complete_multipartite,
     cycle_graph,
     path_graph,
@@ -45,7 +46,7 @@ from .indpoly import (
     independence_polynomial,
     independence_polynomial_bruteforce,
 )
-from .polynomials import IntPolynomial
+from .polynomials import X, IntPolynomial
 
 DEFAULT_SEED = 1729
 DENSITY_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -409,7 +410,6 @@ def _check_vc_suspension(item: tuple[int, Graph]) -> tuple[Mismatch, ...]:
     index, g = item
     rep = analyze(g)
     one_minus_t = IntPolynomial((1, -1))
-    t = IntPolynomial((0, 1))
     out = []
     # S = {} is the cone, the full-suspension case
     for s_set in [frozenset(), *_independent_sets(g)]:
@@ -423,9 +423,9 @@ def _check_vc_suspension(item: tuple[int, Graph]) -> tuple[Mismatch, ...]:
         # the h identities of the paper's two cases, against the base's h
         if predicted["case"] == families.PRESERVED:
             predicted["alpha"] = rep.alpha
-            predicted["h_polynomial"] = rep.h_poly + t * one_minus_t ** (rep.alpha - s - 1)
+            predicted["h_polynomial"] = rep.h_poly + X * one_minus_t ** (rep.alpha - s - 1)
         elif predicted["case"] == families.NEVER_PG_STAR:
-            predicted["h_polynomial"] = one_minus_t * rep.h_poly + t
+            predicted["h_polynomial"] = one_minus_t * rep.h_poly + X
         gz = suspension(g, cover)
         name = f"graph#{index} S={sorted(s_set)}"
         out.extend(prediction_mismatches(name, predicted, analyze(gz)))
@@ -459,15 +459,15 @@ def _check_cycle_mis_suspension(item: tuple[int, int]) -> tuple[Mismatch, ...]:
     for members in g.maximal_independent_sets(limit):
         picks = sorted(members)
         name = f"C_{n} susp over {picks}"
-        predicted = families.predict_mis_suspension(families.cycle_mis_susp_params(n, picks))
+        params = families.cycle_mis_susp_params(n, picks)
+        predicted = families.predict_mis_suspension(params)
         predicted["multiplicity"] = 0
         if n == 3:
             predicted["independence_polynomial"] = IntPolynomial((1, 4, 2))
             predicted["h_polynomial"] = IntPolynomial((1, 2, -1))
         gz = suspension(g, picks)
         out.extend(prediction_mismatches(name, predicted, analyze(gz)))
-        c = len(picks)
-        out.extend(_structure_mismatch(name, gz, c, n - 2 * c))
+        out.extend(_structure_mismatch(name, gz, params.c, params.ell))
     return tuple(out)
 
 
@@ -615,6 +615,7 @@ def verify_cycle_mis_suspension(
     max_n: int = 18, jobs: int = 1, mis_limit: int = MIS_ENUMERATION_LIMIT
 ) -> VerifyOutcome:
     check_size(max_n + 1, what=f"C_{max_n} susp")
+    check_mis_limit(max_n, mis_limit)
     items = [(n, mis_limit) for n in range(3, max_n + 1)]
     return _gather("cycle-mis-suspension", _check_cycle_mis_suspension, items, jobs)
 
@@ -623,6 +624,7 @@ def verify_path_mis_suspension(
     max_n: int = 18, jobs: int = 1, mis_limit: int = MIS_ENUMERATION_LIMIT
 ) -> VerifyOutcome:
     check_size(max_n + 1, what=f"P_{max_n} susp")
+    check_mis_limit(max_n, mis_limit)
     items = [(n, mis_limit) for n in range(2, max_n + 1)]
     return _gather("path-mis-suspension", _check_path_mis_suspension, items, jobs)
 
@@ -650,8 +652,9 @@ def verify_oracle(
     return _gather("oracle", _check_oracle, corpus, jobs, seed)
 
 
-# Every sweep ``pgstar verify`` runs, by id.  The CLI forwards only the options
-# a user sets, so each default lives in the function's signature alone.
+# Every sweep ``pgstar verify`` runs, by id.  The CLI makes each parameter of
+# these functions an option and forwards only the options a user sets, so each
+# default lives in the function's signature alone.
 SWEEPS: dict[str, Callable[..., VerifyOutcome]] = {
     "cycles": verify_cycles,
     "paths": verify_paths,

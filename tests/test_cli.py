@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import pgstar
 from pgstar import analysis, cli, graphio, indpoly, verification
-from pgstar.cli import EXIT_LIMIT, EXIT_USAGE, main
+from pgstar.cli import EXIT_LIMIT, EXIT_USAGE, build_parser, main
 from pgstar.graphio import MAX_EDGES, MAX_VERTICES, parse_edge_list
 from pgstar.polynomials import IntPolynomial
 from pgstar.verification import SWEEPS
@@ -181,6 +182,9 @@ def test_compute_malformed_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["compute", str(path)], capsys)
     assert code == 2
     assert "line 2" in err
+    path.write_text("2 1\n1 2 3\n")
+    code, out, err = run_cli(["compute", str(path)], capsys)
+    assert (code, out, err) == (2, "", "error: line 2: expected edge 'u v', got '1 2 3'\n")
 
 
 def test_compute_names_the_line_of_an_undecodable_byte(tmp_path, capsys):
@@ -253,6 +257,20 @@ def test_family_invalid_parameters_exit_2(capsys):
     assert "3" in err
     code, _, _ = run_cli(["family", "path"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["multipartite"], "--parts is required for family 'multipartite'"),
+        (["multipartite", "--parts", "2,x"],
+         "could not parse --parts '2,x'; expected e.g. '1,2,3'"),
+        (["cameron-walker", "--core-x", "1", "--core-y", "1", "--leaves", "1"],
+         "family 'cameron-walker' needs --core-x, --core-y, --core-edges, --leaves"),
+    ],
+)
+def test_family_missing_or_malformed_parameters_exit_2(argv, message, capsys):
+    assert run_cli(["family", *argv], capsys) == (2, "", f"error: {message}\n")
 
 
 def test_suspend_c5_maximal_independent(capsys):
@@ -342,6 +360,11 @@ def test_suspend_empty_set_exits_2(capsys):
         ["suspend", "--family", "cycle", "--n", "5", "--set", ""], capsys
     )
     assert code == 2
+    # a set of separators parses, to no label
+    code, out, err = run_cli(
+        ["suspend", "--family", "cycle", "--n", "5", "--set", ","], capsys
+    )
+    assert (code, out, err) == (2, "", "error: attachment set must be nonempty\n")
 
 
 @pytest.mark.parametrize("label", ["0", "7", "1000000000000000"])
@@ -386,6 +409,22 @@ def test_verify_mismatch_exits_1(monkeypatch, capsys):
     assert code == 1
     assert "FAIL" in out
     assert "expected True, got False" in out
+
+
+def test_verify_oracle_mismatch_names_the_graph(monkeypatch, capsys):
+    # graph#2 is the edgeless graph on 2 vertices, P = 1 + 2x + x^2
+    brute = verification.independence_polynomial_bruteforce
+    monkeypatch.setattr(
+        verification,
+        "independence_polynomial_bruteforce",
+        lambda g: IntPolynomial((1, 2)) if g == pgstar.Graph(2) else brute(g),
+    )
+    code, out, err = run_cli(["verify", "oracle", "--random", "0", "--exhaustive-n", "2"], capsys)
+    assert (code, err) == (1, "")
+    assert out == (
+        "theorem oracle: 4 instances, 1 mismatches -> FAIL (seed 1729)\n"
+        "  graph#2 oracle: expected (1, 2), got (1, 2, 1)\n"
+    )
 
 
 def test_verify_unknown_theorem_exits_2(capsys):
@@ -454,13 +493,53 @@ def test_verify_enum_cap_exits_3(capsys):
 
 
 def test_verify_enum_cap_fails_alike_at_every_jobs(monkeypatch, capsys):
-    # cycles past the cap fail in several workers; each run reports the first
+    # the largest cycle is refused before any worker starts
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     argv = ["verify", "cycle-mis-suspension", "--max-n", "30", "--enum-cap", "24"]
     runs = [run_cli(argv + ["--jobs", jobs], capsys) for jobs in ("1", "2")]
     assert runs[0] == runs[1] == (
         EXIT_LIMIT, "", "error: maximal-independent-set enumeration capped at n = 24\n"
     )
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("theorem", ["cycle-mis-suspension", "path-mis-suspension"])
+def test_mis_sweeps_refuse_the_cap_before_any_instance(theorem, jobs, monkeypatch, capsys):
+    def spy(item):
+        raise AssertionError(f"instance {item} ran")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for name in ("_check_cycle_mis_suspension", "_check_path_mis_suspension"):
+        monkeypatch.setattr(verification, name, spy)
+    argv = ["verify", theorem, "--max-n", "31", "--enum-cap", "30", "--jobs", jobs]
+    assert run_cli(argv, capsys) == (
+        EXIT_LIMIT, "", "error: maximal-independent-set enumeration capped at n = 30\n"
+    )
+
+
+def test_verify_options_are_the_sweep_parameters():
+    # a new verify_* parameter fails here until its flag is named on purpose
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    verify = sub.choices["verify"]
+    options = [a for a in verify._actions if a.option_strings and a.dest not in ("help", "output")]
+    flags = {flag: a.dest for a in options for flag in a.option_strings}
+    assert flags == {
+        "--count": "count",
+        "--enum-cap": "mis_limit",
+        "--exhaustive-n": "exhaustive_n",
+        "--jobs": "jobs",
+        "--max-n": "max_n",
+        "--max-part-size": "max_part_size",
+        "--max-parts": "max_parts",
+        "--max-vertices": "max_vertices",
+        "--random": "random_count",
+        "--seed": "seed",
+    }
+    assert all(a.type is int for a in options)
+    # every parameter has a default, an int, which an option left out keeps
+    for sweep in SWEEPS.values():
+        assert len(sweep.__defaults__) == sweep.__code__.co_argcount
+        assert all(type(default) is int for default in sweep.__defaults__)
 
 
 def test_verify_worker_that_dies_exits_4(monkeypatch, capsys):

@@ -384,6 +384,34 @@ def test_independent_sets_walk_matches_subset_filter():
         assert list(verification._independent_sets(g)) == want
 
 
+def test_path_mis_reports_a_wrong_e_zero_detection(monkeypatch):
+    # every maximal independent set of P_4 given the gap statistics of the
+    # canonical set {1, 4}, whose e is 0
+    canonical = families.path_mis_susp_params(4, [1, 4])
+    monkeypatch.setattr(families, "path_mis_susp_params", lambda n, members: canonical)
+    out = verification._check_path_mis_suspension((4, MIS_ENUMERATION_LIMIT))
+    assert [m for m in out if m.instance.endswith("e=0 detection")] == [
+        Mismatch(f"P_4 susp over {picks} e=0 detection", "e==0 iff set == [1, 4]",
+                 f"e=0, set={picks}")
+        for picks in ([1, 3], [2, 4])
+    ]
+
+
+def test_path_mis_reports_a_wrong_a_invariant_sign(monkeypatch):
+    # on P_3 every suspension has a-invariant 0; predict a negative one
+    wrong = {"a_invariant_zero": False}
+    monkeypatch.setattr(families, "predict_mis_suspension", lambda params: dict(wrong))
+    out = verification._check_path_mis_suspension((3, MIS_ENUMERATION_LIMIT))
+    assert out == tuple(
+        m
+        for picks in ([1, 3], [2])
+        for m in (
+            Mismatch(f"P_3 susp over {picks} a_invariant_zero", "False", "True"),
+            Mismatch(f"P_3 susp over {picks} a-invariant sign", "< 0", "0"),
+        )
+    )
+
+
 def test_leftover_structure_is_read_off_the_suspension():
     g = cycle_graph(6)
     # over {1, 4}, C_6 leaves the edges 2-3 and 5-6
